@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Caption, CaptionSource, Corpus
+from .corpus import Caption, CaptionSource, Corpus, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
 from .tokens import tokenize
 from .translate import TranslationChain
@@ -71,60 +71,31 @@ class Thesaurus:
 
 def load_dictionary(path: str | Path) -> frozenset[str]:
     """One lower-case word per line; blank lines skipped."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word:
-                words.add(word)
-    return frozenset(words)
+    return frozenset(word for _, (word,) in read_rows(path))
 
 
 def load_merge_rules(path: str | Path) -> tuple[MergePattern, ...]:
     """TSV ``bigram<TAB>replacement``, e.g. ``c shape<TAB>c-shaped``; file order kept."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected 'bigram<TAB>replacement'")
-            bigram = parts[0].lower().split()
-            if len(bigram) != 2:
-                raise FormatError(f"{path}: line {lineno}: bigram must be exactly two words")
-            rules.append(((bigram[0], bigram[1]), parts[1].strip().lower()))
+    for lineno, (bigram, merged) in read_rows(path, 2, "bigram<TAB>replacement"):
+        words = bigram.split()
+        if len(words) != 2:
+            raise FormatError(f"{path}: line {lineno}: bigram must be exactly two words")
+        rules.append(((words[0], words[1]), merged))
     return tuple(rules)
 
 
 def load_overrides(path: str | Path) -> dict[str, str]:
     """TSV ``misspelled<TAB>replacement``."""
-    overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected 'word<TAB>replacement'")
-            overrides[parts[0].strip().lower()] = parts[1].strip().lower()
-    return overrides
+    return {word: fix for _, (word, fix) in read_rows(path, 2, "word<TAB>replacement")}
 
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
     """TSV ``word<TAB>syn1,syn2,...``."""
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected 'word<TAB>syn1,syn2,...'")
-            word = parts[0].strip().lower()
-            synonyms = tuple(s.strip().lower() for s in parts[1].split(",") if s.strip())
-            entries[word] = synonyms
-    return Thesaurus(entries)
+    return Thesaurus({
+        word: tuple(s.strip() for s in synonyms.split(",") if s.strip())
+        for _, (word, synonyms) in read_rows(path, 2, "word<TAB>syn1,syn2,...")
+    })
 
 
 def _edits1(word: str, alphabet: Sequence[str]) -> set[str]:
@@ -292,8 +263,8 @@ def back_translate(
 
     A caption whose round-trip fails (after retries) is logged and kept
     without a variant; if every caption fails the whole operation errors.
-    Requests run on up to ``concurrency`` worker threads; output order always
-    follows input order.
+    Requests run on a pool of ``concurrency`` worker threads (``ValueError``
+    below one); output order always follows input order.
     """
     captions = list(corpus.captions())
 
@@ -304,11 +275,8 @@ def back_translate(
             logger.warning("back-translation failed for %r: %s", cap.image_id, exc)
             return None
 
-    if concurrency > 1 and len(captions) > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(roundtrip, captions))
-    else:
-        results = [roundtrip(cap) for cap in captions]
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        results = list(pool.map(roundtrip, captions))
 
     if captions and all(result is None for result in results):
         raise TranslationError("back-translation failed for every caption")

@@ -143,6 +143,8 @@ def score_predictions(
     Each image's captions serve as that candidate's reference set. Returns the
     corpus-level result, per-image sentence-level results in prediction order,
     and the prediction ids missing from the reference corpus (skipped).
+    Predictions with no tokens, such as ``"..."``, are skipped as well and
+    appear in neither the scores nor the missing ids.
     """
     by_id = corpus.by_id()
     candidates: list[TokenSeq] = []
@@ -154,11 +156,15 @@ def score_predictions(
         if record is None:
             missing.append(image_id)
             continue
-        candidates.append(tokenize(caption).tokens)
+        tokens = tokenize(caption).tokens
+        if not tokens:
+            continue
+        candidates.append(tokens)
         references.append([tokenize(cap.raw).tokens for cap in record.captions])
         scored_ids.append(image_id)
-    if missing:
-        logger.warning("%d prediction ids missing from reference corpus", len(missing))
+    if len(scored_ids) < len(predictions):
+        logger.warning("%d predictions skipped: %d ids missing from reference corpus, the rest empty",
+                       len(predictions) - len(scored_ids), len(missing))
     if not candidates:
         empty = BleuResult(
             precisions=(0.0,) * MAX_ORDER,

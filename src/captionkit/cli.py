@@ -9,12 +9,12 @@ are written as captions JSONL. Stochastic subcommands require an explicit
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import augment as aug
 from . import bleu as bleu_mod
@@ -24,12 +24,13 @@ from . import readability as read_mod
 from . import vocabstats
 from .corpus import (
     CAPTION_FORMATS,
-    Corpus,
-    captions_to_jsonl,
+    atomic_write,
     ingest_captions,
     ingest_labels,
     ingest_predictions,
+    jsonl_lines,
     validate,
+    write_csv,
 )
 from .exceptions import CaptionKitError, ConfigurationError
 from .translate import HttpTranslator, MockTranslator, TranslationChain
@@ -57,20 +58,12 @@ TABLE_ROWS = [
 ]
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _write_corpus(corpus: Corpus, out: str | None) -> None:
-    text = captions_to_jsonl(corpus)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(output: dict | Iterable[str], out: str | None) -> None:
+    """Write a JSON report (a dict) or text chunks to stdout, or atomically to ``out``."""
+    if isinstance(output, dict):
+        output = [json.dumps(output, indent=2, sort_keys=True) + "\n"]
+    with atomic_write(out) if out else nullcontext(sys.stdout) as fh:
+        fh.writelines(output)
 
 
 def _add_captions_args(parser: argparse.ArgumentParser) -> None:
@@ -82,7 +75,7 @@ def _add_captions_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     corpus = ingest_captions(args.captions, args.format)
-    _write_corpus(corpus, args.out)
+    _emit(jsonl_lines(corpus), args.out)
     return 0
 
 
@@ -153,16 +146,13 @@ def cmd_bleu(args: argparse.Namespace) -> int:
     predictions = ingest_predictions(args.predictions)
     references = ingest_captions(args.references, args.references_format)
     overall, per_image, missing = bleu_mod.score_predictions(predictions, references)
-    if missing:
-        print(f"warning: {len(missing)} prediction ids missing from references", file=sys.stderr)
+    if len(per_image) < len(predictions):
+        print(f"warning: {len(predictions) - len(per_image)} predictions skipped: {len(missing)} ids "
+              "missing from references, the rest without tokens", file=sys.stderr)
     if args.per_image:
         fields = ["bleu1", "bleu2", "bleu3", "bleu4", "p1", "p2", "p3", "p4", "bp", "c", "r"]
-        with open(args.per_image, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["image_id", *fields])
-            for image_id, result in per_image:
-                row = result.to_dict()
-                writer.writerow([image_id] + [row[k] for k in fields])
+        rows = ([image_id, *map(result.to_dict().get, fields)] for image_id, result in per_image)
+        write_csv(args.per_image, ["image_id", *fields], rows)
     _emit(overall.to_dict(), args.out)
     return 0
 
@@ -191,7 +181,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         result = aug.back_translate(
             corpus, chain, concurrency=args.workers, max_retries=args.retries
         )
-    _write_corpus(result, args.out)
+    _emit(jsonl_lines(result), args.out)
     return 0
 
 
@@ -202,17 +192,13 @@ def cmd_confusion(args: argparse.Namespace) -> int:
         keywords = conf.load_scene_keywords(args.scenes)
     else:
         keywords = conf.default_scene_keywords(labels)
-    report = conf.scene_matrix(predictions, labels, keywords, fold_plural_s=not args.no_plural_fold)
-    if args.attributes:
-        attrs = conf.load_attributes(args.attributes)
-        report = conf.with_attributes(
-            report, predictions, labels, attrs, fold_plural_s=not args.no_plural_fold
-        )
+    attrs = conf.load_attributes(args.attributes) if args.attributes else ()
+    report = conf.scene_matrix(
+        predictions, labels, keywords, fold_plural_s=not args.no_plural_fold, attributes=attrs
+    )
     if args.out:
         conf.matrix_export(report, args.out)
-        _emit(report.to_dict(), str(Path(args.out) / "report.json"))
-    else:
-        _emit(report.to_dict(), None)
+    _emit(report.to_dict(), str(Path(args.out) / "report.json") if args.out else None)
     return 0
 
 
@@ -238,9 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="captionkit",
         description="Profile, augment, score, and search image-caption corpora.",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="worker limit for concurrent operations"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -314,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mock", action="store_true", help="use the offline deterministic translator")
     q.add_argument("--endpoint", help="translation service URL")
     q.add_argument("--retries", type=int, default=2, help="retries per translation request")
+    q.add_argument("--workers", type=int, default=1, help="worker threads for translation requests")
     q.add_argument("--out", help="output JSONL path (default: stdout)")
     q.set_defaults(handler=cmd_augment)
 
@@ -365,3 +349,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

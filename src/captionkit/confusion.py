@@ -10,13 +10,12 @@ optional trailing-'s' folding on by default.
 
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import LabelRecord, PredictionSet
+from .corpus import LabelRecord, PredictionSet, read_rows, write_csv
 from .exceptions import ConfigurationError, FormatError
 from .tokens import tokenize
 
@@ -78,30 +77,17 @@ def default_scene_keywords(labels: Sequence[LabelRecord]) -> dict[str, frozenset
 def load_scene_keywords(path: str | Path) -> dict[str, frozenset[str]]:
     """TSV ``scene<TAB>trigger1,trigger2,...``; file order defines scene order."""
     keywords: dict[str, frozenset[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected 'scene<TAB>trigger1,trigger2,...'")
-            scene = parts[0].strip().lower()
-            triggers = frozenset(t.strip().lower() for t in parts[1].split(",") if t.strip())
-            if not scene or not triggers:
-                raise FormatError(f"{path}: line {lineno}: empty scene or trigger list")
-            keywords[scene] = triggers
+    for lineno, (scene, trigger_list) in read_rows(path, 2, "scene<TAB>trigger1,trigger2,..."):
+        triggers = frozenset(t.strip() for t in trigger_list.split(",") if t.strip())
+        if not scene or not triggers:
+            raise FormatError(f"{path}: line {lineno}: empty scene or trigger list")
+        keywords[scene] = triggers
     return keywords
 
 
 def load_attributes(path: str | Path) -> tuple[str, ...]:
     """One attribute token per line."""
-    attrs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            token = line.strip().lower()
-            if token:
-                attrs.append(token)
-    return tuple(attrs)
+    return tuple(token for _, (token,) in read_rows(path))
 
 
 def scene_matrix(
@@ -109,17 +95,21 @@ def scene_matrix(
     labels: Sequence[LabelRecord],
     scene_keywords: Mapping[str, frozenset[str]],
     fold_plural_s: bool = True,
+    attributes: Sequence[str] = (),
 ) -> ConfusionReport:
     """Count, per true scene, how many captions mention each scene's triggers.
 
-    Presence-based: one image increments a cell at most once. Labeled images
-    without a prediction are reported on the result and skipped.
+    Presence-based: one image increments a cell at most once. The same pass
+    counts, per attribute token and true scene, the captions mentioning that
+    attribute. Labeled images without a prediction are reported on the result
+    and skipped.
     """
     for label in labels:
         if label.scene not in scene_keywords:
             raise ConfigurationError(f"no keyword set configured for scene {label.scene!r}")
     scenes = tuple(scene_keywords)
     matrix = {(true, col): 0 for true in scenes for col in scenes}
+    attribute_counts = {(attr, scene): 0 for attr in attributes for scene in scenes}
     totals = {scene: 0 for scene in scenes}
     missing = []
     for label in labels:
@@ -132,6 +122,9 @@ def scene_matrix(
         for col in scenes:
             if any(_mentions(t, mention_set, fold_plural_s) for t in scene_keywords[col]):
                 matrix[(label.scene, col)] += 1
+        for attr in attributes:
+            if _mentions(attr, mention_set, fold_plural_s):
+                attribute_counts[(attr, label.scene)] += 1
     if missing:
         logger.warning("%d labeled images have no prediction; skipped", len(missing))
     scored = sum(totals.values())
@@ -139,9 +132,10 @@ def scene_matrix(
     return ConfusionReport(
         scenes=scenes,
         scene_matrix=matrix,
-        attribute_table={},
+        attribute_table=attribute_counts,
         per_scene_totals=totals,
         diagonal_accuracy=diagonal / scored if scored else 0.0,
+        attributes=tuple(attributes),
         missing_ids=tuple(missing),
     )
 
@@ -152,33 +146,11 @@ def attribute_table(
     attributes: Sequence[str],
     fold_plural_s: bool = True,
 ) -> dict[tuple[str, str], int]:
-    """Images per true scene whose caption mentions each attribute token."""
-    scenes = sorted({label.scene for label in labels})
-    counts = {(attr, scene): 0 for attr in attributes for scene in scenes}
-    for label in labels:
-        caption = predictions.entries.get(label.image_id)
-        if caption is None:
-            continue
-        mention_set = _mention_set(caption, fold_plural_s)
-        for attr in attributes:
-            if _mentions(attr, mention_set, fold_plural_s):
-                counts[(attr, label.scene)] += 1
-    return counts
-
-
-def with_attributes(
-    report: ConfusionReport,
-    predictions: PredictionSet,
-    labels: Sequence[LabelRecord],
-    attributes: Sequence[str],
-    fold_plural_s: bool = True,
-) -> ConfusionReport:
-    """Return a copy of ``report`` carrying the attribute co-occurrence table."""
-    table = attribute_table(predictions, labels, attributes, fold_plural_s)
-    narrowed = {
-        (attr, scene): count for (attr, scene), count in table.items() if scene in report.scenes
-    }
-    return replace(report, attribute_table=narrowed, attributes=tuple(attributes))
+    """Images per true scene (the labels' scenes) whose caption mentions each attribute token."""
+    # Empty trigger sets: only the attribute counts of the shared pass are wanted.
+    scenes = {scene: frozenset() for scene in sorted({label.scene for label in labels})}
+    report = scene_matrix(predictions, labels, scenes, fold_plural_s, attributes)
+    return dict(report.attribute_table)
 
 
 def matrix_export(report: ConfusionReport, out_dir: str | Path) -> tuple[Path, Path]:
@@ -191,16 +163,11 @@ def matrix_export(report: ConfusionReport, out_dir: str | Path) -> tuple[Path, P
     out_dir.mkdir(parents=True, exist_ok=True)
     matrix_path = out_dir / "scene_matrix.csv"
     attrs_path = out_dir / "attribute_table.csv"
-    with open(matrix_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true_scene\\mentioned_keyword", *report.scenes])
-        for true in report.scenes:
-            writer.writerow([true, *(report.cell(true, col) for col in report.scenes)])
-    with open(attrs_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute\\true_scene", *report.scenes])
-        for attr in report.attributes:
-            writer.writerow(
-                [attr, *(report.attribute_table.get((attr, scene), 0) for scene in report.scenes)]
-            )
+    matrix_rows = ([true, *(report.cell(true, col) for col in report.scenes)] for true in report.scenes)
+    write_csv(matrix_path, ["true_scene\\mentioned_keyword", *report.scenes], matrix_rows)
+    attribute_rows = (
+        [attr, *(report.attribute_table.get((attr, scene), 0) for scene in report.scenes)]
+        for attr in report.attributes
+    )
+    write_csv(attrs_path, ["attribute\\true_scene", *report.scenes], attribute_rows)
     return matrix_path, attrs_path

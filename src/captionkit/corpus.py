@@ -8,11 +8,15 @@ happens in :mod:`captionkit.tokens`).
 
 from __future__ import annotations
 
+import csv
 import json
+import os
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .exceptions import FormatError, ValidationError
 
@@ -146,8 +150,68 @@ def _map_split(value: object) -> Split:
     return Split(_SPLIT_ALIASES.get(value.strip().lower(), "unassigned"))
 
 
-def _jsonl_objects(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, object) for each non-blank line; blank lines skipped."""
+def read_rows(path: str | Path, ncols: int = 1, shape: str = "") -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_number, stripped lower-cased cells) for each non-blank line.
+
+    Lines split on tabs into exactly ``ncols`` cells, else ``FormatError`` names
+    the line and the expected ``shape``; one column keeps the whole line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cells = line.split("\t") if ncols > 1 else [line]
+            if len(cells) != ncols:
+                raise FormatError(f"{path}: line {lineno}: expected '{shape}'")
+            yield lineno, [cell.strip().lower() for cell in cells]
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Write UTF-8 text (``newline=""``) to a sibling temp file, renamed onto ``path`` on success.
+
+    The temp file takes the mode of a file already at ``path``; if the block
+    raises, it is removed and ``path`` is left as it was. A symlink is written
+    through to its target. A device or pipe, such as ``/dev/stdout``, cannot be
+    replaced and is written directly.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header row and ``rows`` as CSV with ``\\r\\n`` row endings, atomically."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path: str | Path) -> object:
+    """Parse a whole JSON file; a syntax error becomes ``FormatError`` naming line and column."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _jsonl_objects(path: Path) -> Iterator[tuple[str, dict]]:
+    """Yield (location, object) for each non-blank line; blank lines skipped."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -160,7 +224,7 @@ def _jsonl_objects(path: Path) -> Iterator[tuple[int, dict]]:
                 ) from exc
             if not isinstance(obj, dict):
                 raise FormatError(f"{path}: line {lineno}: expected a JSON object")
-            yield lineno, obj
+            yield f"{path}: line {lineno}", obj
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -170,17 +234,34 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     return value
 
 
-def _record_from_jsonl(obj: dict, where: str, source: CaptionSource) -> ImageRecord:
-    image_id = _require_str(obj, "image_id", where).strip().lower()
-    raw_captions = obj.get("captions")
-    if not isinstance(raw_captions, list) or not raw_captions:
-        raise ValidationError(f"{where}: missing or empty 'captions' list")
+def _sentence_raw(sentence: object, where: str) -> object:
+    if not isinstance(sentence, dict) or not isinstance(sentence.get("raw"), str):
+        raise FormatError(f"{where}: each sentence needs a string 'raw' field")
+    return sentence["raw"]
+
+
+# Per caption format: image id, caption list and scene keys, and a caption item's text.
+_RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[object, str], object]]] = {
+    "jsonl": ("image_id", "captions", "scene", lambda item, where: item),
+    "rsicd_json": ("filename", "sentences", "class", _sentence_raw),
+}
+
+
+def _record(obj: object, where: str, format: str, source: CaptionSource) -> ImageRecord:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected an object")
+    id_key, list_key, scene_key, text_of = _RECORD_FIELDS[format]
+    image_id = _require_str(obj, id_key, where).strip().lower()
+    items = obj.get(list_key)
+    if not isinstance(items, list) or not items:
+        raise ValidationError(f"{where}: missing or empty {list_key!r} list")
     captions = []
-    for text in raw_captions:
+    for item in items:
+        text = text_of(item, where)
         if not isinstance(text, str) or not text.strip():
             raise ValidationError(f"{where}: empty caption for image {image_id!r}")
         captions.append(Caption(image_id, text, source))
-    scene = obj.get("scene")
+    scene = obj.get(scene_key)
     scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
     return ImageRecord(
         image_id=image_id,
@@ -188,46 +269,6 @@ def _record_from_jsonl(obj: dict, where: str, source: CaptionSource) -> ImageRec
         split=_map_split(obj.get("split")),
         scene_class=scene_class,
     )
-
-
-def _records_from_rsicd(path: Path, source: CaptionSource) -> list[ImageRecord]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    images = payload.get("images") if isinstance(payload, dict) else None
-    if not isinstance(images, list):
-        raise FormatError(f"{path}: expected a top-level object with an 'images' list")
-    records = []
-    for i, entry in enumerate(images):
-        where = f"{path}: images[{i}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: expected an object")
-        image_id = _require_str(entry, "filename", where).strip().lower()
-        sentences = entry.get("sentences")
-        if not isinstance(sentences, list) or not sentences:
-            raise ValidationError(f"{where}: missing or empty 'sentences' list")
-        captions = []
-        for sent in sentences:
-            if not isinstance(sent, dict) or not isinstance(sent.get("raw"), str):
-                raise FormatError(f"{where}: each sentence needs a string 'raw' field")
-            if not sent["raw"].strip():
-                raise ValidationError(f"{where}: empty caption for image {image_id!r}")
-            captions.append(Caption(image_id, sent["raw"], source))
-        scene = entry.get("class")
-        scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
-        records.append(
-            ImageRecord(
-                image_id=image_id,
-                captions=tuple(captions),
-                split=_map_split(entry.get("split")),
-                scene_class=scene_class,
-            )
-        )
-    return records
 
 
 def ingest_captions(
@@ -245,12 +286,14 @@ def ingest_captions(
     if format not in CAPTION_FORMATS:
         raise FormatError(f"unknown captions format {format!r}; expected one of {CAPTION_FORMATS}")
     if format == "rsicd_json":
-        records = _records_from_rsicd(path, source)
+        payload = read_json(path)
+        images = payload.get("images") if isinstance(payload, dict) else None
+        if not isinstance(images, list):
+            raise FormatError(f"{path}: expected a top-level object with an 'images' list")
+        entries = ((f"{path}: images[{i}]", entry) for i, entry in enumerate(images))
     else:
-        records = [
-            _record_from_jsonl(obj, f"{path}: line {lineno}", source)
-            for lineno, obj in _jsonl_objects(path)
-        ]
+        entries = _jsonl_objects(path)
+    records = [_record(obj, where, format, source) for where, obj in entries]
     seen: set[str] = set()
     for record in records:
         if record.image_id in seen:
@@ -259,9 +302,8 @@ def ingest_captions(
     return Corpus(tuple(records), provenance if provenance is not None else path.stem)
 
 
-def captions_to_jsonl(corpus: Corpus) -> str:
-    """Render the flat captions-JSONL serialization; round-trips through ingest."""
-    lines = []
+def jsonl_lines(corpus: Corpus) -> Iterator[str]:
+    """Yield the flat captions-JSONL serialization one record line at a time."""
     for record in corpus.records:
         obj: dict = {
             "image_id": record.image_id,
@@ -270,13 +312,17 @@ def captions_to_jsonl(corpus: Corpus) -> str:
         }
         if record.scene_class is not None:
             obj["scene"] = record.scene_class
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+        yield json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def captions_to_jsonl(corpus: Corpus) -> str:
+    """Render the flat captions-JSONL serialization; round-trips through ingest."""
+    return "".join(jsonl_lines(corpus))
 
 
 def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(captions_to_jsonl(corpus))
+    with atomic_write(path) as fh:
+        fh.writelines(jsonl_lines(corpus))
 
 
 def ingest_labels(path: str | Path) -> tuple[LabelRecord, ...]:
@@ -284,8 +330,7 @@ def ingest_labels(path: str | Path) -> tuple[LabelRecord, ...]:
     path = Path(path)
     labels = []
     seen: set[str] = set()
-    for lineno, obj in _jsonl_objects(path):
-        where = f"{path}: line {lineno}"
+    for where, obj in _jsonl_objects(path):
         image_id = _require_str(obj, "image_id", where).strip().lower()
         scene = _require_str(obj, "scene", where).strip().lower()
         raw_objects = obj.get("objects", [])
@@ -305,8 +350,7 @@ def ingest_predictions(path: str | Path) -> PredictionSet:
     """Load generated captions (JSONL: image_id, caption). Empty file is valid."""
     path = Path(path)
     entries: dict[str, str] = {}
-    for lineno, obj in _jsonl_objects(path):
-        where = f"{path}: line {lineno}"
+    for where, obj in _jsonl_objects(path):
         image_id = _require_str(obj, "image_id", where).strip().lower()
         caption = _require_str(obj, "caption", where)
         if image_id in entries:
@@ -318,8 +362,8 @@ def ingest_predictions(path: str | Path) -> PredictionSet:
 def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:
     """Report-only corpus checks.
 
-    Always flags duplicate image ids and empty captions; with ``strict_rsicd``
-    additionally flags records that do not carry exactly five captions.
+    Always flags duplicate image ids; with ``strict_rsicd`` additionally flags
+    records that do not carry exactly five captions.
     """
     findings = []
     seen: set[str] = set()
@@ -329,11 +373,6 @@ def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:
                 Finding("duplicate-image-id", f"duplicate image_id {record.image_id!r}", record.image_id)
             )
         seen.add(record.image_id)
-        for cap in record.captions:
-            if not cap.raw.strip():
-                findings.append(
-                    Finding("empty-caption", f"empty caption on {record.image_id!r}", record.image_id)
-                )
         if strict_rsicd and len(record.captions) != 5:
             findings.append(
                 Finding(

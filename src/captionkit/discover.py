@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import atomic_write, read_json
 from .exceptions import FormatError, IndexVersionError, QueryError
 from .tokens import tokenize
 
@@ -57,18 +58,14 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "doc_count": index.doc_count,
         "postings": {token: list(ids) for token, ids in index.postings.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
         fh.write("\n")
 
 
 def load_index(path: str | Path) -> InvertedIndex:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or "version" not in payload:
         raise FormatError(f"{path}: not an index file (missing 'version')")
     if payload["version"] != INDEX_VERSION:

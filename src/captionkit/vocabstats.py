@@ -8,13 +8,13 @@ tend to copy within one image's caption group.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .corpus import Corpus
+from .corpus import Corpus, write_csv
 from .exceptions import DegenerateInputError
 from .tokens import tokenize
 
@@ -107,10 +107,10 @@ def hapax_ratio(prof: VocabularyProfile) -> float:
 
 def frequency_export(prof: VocabularyProfile, path: str | Path) -> None:
     """Write rank,token,count,cumulative_fraction rows in rank order (CSV)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "token", "count", "cumulative_fraction"])
-        running = 0
-        for rank, (token, count) in enumerate(prof.ranked(), start=1):
-            running += count
-            writer.writerow([rank, token, count, running / prof.total_tokens])
+    ranked = prof.ranked()
+    cumulative = accumulate(count for _, count in ranked)
+    rows = (
+        [rank, token, count, running / prof.total_tokens]
+        for rank, ((token, count), running) in enumerate(zip(ranked, cumulative), start=1)
+    )
+    write_csv(path, ["rank", "token", "count", "cumulative_fraction"], rows)

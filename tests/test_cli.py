@@ -1,5 +1,11 @@
 import csv
 import json
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +265,119 @@ def test_pipeline_byte_identical(tmp_path, data_dir, capsys):
         outputs.append((corrected.read_bytes(), expanded.read_bytes(),
                         stats_out.read_bytes(), read_out.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_bleu_skips_predictions_without_tokens(tmp_path, corpus_file, capsys):
+    preds = write_jsonl(tmp_path / "preds.jsonl", [
+        {"image_id": "i1", "caption": "..."},
+        {"image_id": "i2", "caption": "waves on a beach"},
+        {"image_id": "ghost", "caption": "a plane"},
+    ])
+    per_image = tmp_path / "per_image.csv"
+    code = run(["bleu", "--predictions", str(preds), "--references", corpus_file,
+                "--per-image", str(per_image)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["c"] == 4
+    assert "2 predictions skipped" in captured.err
+    with open(per_image, newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["image_id", "i2"]
+
+
+def test_backtranslate_workers_option(corpus_file, tmp_path, capsys):
+    argv = ["augment", "backtranslate", "--captions", corpus_file, "--mock"]
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    assert run(argv + ["--out", str(one)]) == 0
+    assert run(argv + ["--workers", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    capsys.readouterr()
+    assert run(argv + ["--workers", "0"]) == 2
+    assert "max_workers" in capsys.readouterr().err
+    # --workers belongs to backtranslate alone
+    assert run(["--workers", "2", "stats", "--captions", corpus_file]) == 2
+
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python(args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("module", ["captionkit", "captionkit.cli"])
+def test_python_m_runs_cli(module):
+    proc = _python(["-m", module, "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: captionkit")
+    assert "score-confusion" in proc.stdout
+
+
+# Runs the CLI with a file-size limit: a write past it fails with EFBIG, as
+# on a full disk. Python already ignores SIGXFSZ; the call makes that explicit.
+LIMITED_CLI = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+from captionkit.cli import run
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the POSIX resource module")
+@pytest.mark.parametrize("command, out_flag", [
+    (["ingest"], "--out"),
+    (["stats"], "--freq-csv"),
+])
+def test_failed_write_keeps_earlier_output(tmp_path, command, out_flag):
+    rows = [{"image_id": f"img{i}", "captions": [f"caption number {i} of a long river"] * 3}
+            for i in range(40)]
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", rows)
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    argv = [*command, "--captions", str(corpus), out_flag, str(out)]
+    mask = os.umask(0o022)
+    os.umask(mask)
+
+    first = _python(["-c", LIMITED_CLI, str(1 << 30), *argv])
+    assert first.returncode == 0, first.stderr
+    earlier = out.read_bytes()
+    assert len(earlier) > 200
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
+
+    failed = _python(["-c", LIMITED_CLI, "200", *argv])
+    assert failed.returncode == 2
+    assert "error" in failed.stderr
+    assert out.read_bytes() == earlier
+    assert sorted(p.name for p in out.parent.iterdir()) == ["result"]
+
+    out.chmod(0o640)
+    again = _python(["-c", LIMITED_CLI, str(1 << 30), *argv])
+    assert again.returncode == 0, again.stderr
+    assert out.read_bytes() == earlier
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(p.name for p in out.parent.iterdir()) == ["result"]
+
+
+def test_output_through_symlink_and_into_pipe(corpus_file, tmp_path):
+    real = tmp_path / "real.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run(["validate", "--captions", corpus_file, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["finding_count"] == 0
+
+    # a pipe (like /dev/stdout) cannot be renamed over, so it is written in place
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(["ingest", "--captions", corpus_file, "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received[0].count(b"\n") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "fifo", "link.json", "real.json"]

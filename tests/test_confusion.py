@@ -10,7 +10,6 @@ from captionkit.confusion import (
     load_scene_keywords,
     matrix_export,
     scene_matrix,
-    with_attributes,
 )
 from captionkit.corpus import LabelRecord, PredictionSet, ingest_labels
 from captionkit.exceptions import ConfigurationError
@@ -198,8 +197,7 @@ def test_matrix_export_and_reparse(tmp_path):
     )
     labels = [LabelRecord("x", "beach"), LabelRecord("y", "airport")]
     keywords = {"airport": frozenset({"airport"}), "beach": frozenset({"beach"})}
-    report = scene_matrix(predictions, labels, keywords)
-    report = with_attributes(report, predictions, labels, ["white", "waves"])
+    report = scene_matrix(predictions, labels, keywords, attributes=["white", "waves"])
     matrix_path, attrs_path = matrix_export(report, tmp_path / "out")
 
     with open(matrix_path, newline="") as fh:
