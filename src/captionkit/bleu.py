@@ -1,14 +1,15 @@
 """Corpus- and sentence-level BLEU-1..4 with multiple references.
 
-Corpus-level aggregation sums clipped-match numerators and candidate n-gram
-denominators over all sentences before dividing. No smoothing is applied
+Each sentence yields one vector of sufficient statistics: clipped matches and
+totals per order, candidate length, closest reference length. A corpus score
+comes from the sum of its sentences' vectors, so per-image rows and the
+corpus score are computed from the same vectors. No smoothing is applied
 anywhere: a vanished precision zeroes every score of that order and above,
 and the result records which orders vanished.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,8 +18,6 @@ from typing import Mapping, Sequence
 from .corpus import Corpus, PredictionSet
 from .exceptions import DegenerateInputError
 from .tokens import tokenize
-
-logger = logging.getLogger(__name__)
 
 MAX_ORDER = 4
 
@@ -66,6 +65,41 @@ def _check_shapes(candidates: Sequence[TokenSeq], references: Sequence[Sequence[
             raise ValueError(f"candidate {i} has no references")
 
 
+def _matches(cand: TokenSeq, refs: Sequence[TokenSeq], n: int) -> tuple[int, int]:
+    # each candidate n-gram count is clipped at its maximum count in any one reference
+    counts = ngram_counts(cand, n)
+    max_ref: dict = {}
+    for ref in refs:
+        for gram, count in ngram_counts(ref, n).items():
+            if count > max_ref.get(gram, 0):
+                max_ref[gram] = count
+    return sum(min(count, max_ref.get(gram, 0)) for gram, count in counts.items()), sum(counts.values())
+
+
+def _stats(cand: TokenSeq, refs: Sequence[TokenSeq], max_order: int) -> list[int]:
+    """One sentence's vector: matches and totals for orders 1..max_order, then c and r."""
+    stats: list[int] = []
+    for n in range(1, max_order + 1):
+        stats.extend(_matches(cand, refs, n))
+    c = len(cand)
+    # closest reference length, ties broken toward the shorter reference
+    stats += [c, min((len(ref) for ref in refs), key=lambda r: (abs(r - c), r))]
+    return stats
+
+
+def _result(stats: Sequence[int]) -> BleuResult:
+    """BLEU from one statistics vector, a sentence's own or a corpus sum."""
+    *counts, c, r = stats
+    precisions = tuple(m / t if t else 0.0 for m, t in zip(counts[0::2], counts[1::2]))
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    bleu = {
+        k: bp * math.exp(sum(map(math.log, precisions[:k])) / k) if all(precisions[:k]) else 0.0
+        for k in range(1, len(precisions) + 1)
+    }
+    zero_orders = tuple(n for n, p in enumerate(precisions, start=1) if p == 0.0)
+    return BleuResult(precisions, bp, c, r, bleu, zero_orders)
+
+
 def modified_precision(
     candidates: Sequence[TokenSeq],
     references: Sequence[Sequence[TokenSeq]],
@@ -78,25 +112,8 @@ def modified_precision(
     corpus before any ratio is taken.
     """
     _check_shapes(candidates, references)
-    matched = total = 0
-    for cand, refs in zip(candidates, references):
-        counts = ngram_counts(cand, n)
-        if not counts:
-            continue
-        max_ref: dict = {}
-        for ref in refs:
-            for gram, count in ngram_counts(ref, n).items():
-                if count > max_ref.get(gram, 0):
-                    max_ref[gram] = count
-        matched += sum(min(count, max_ref.get(gram, 0)) for gram, count in counts.items())
-        total += sum(counts.values())
-    return matched, total
-
-
-def _effective_ref_len(candidate: TokenSeq, refs: Sequence[TokenSeq]) -> int:
-    # closest reference length, ties broken toward the shorter reference
-    c = len(candidate)
-    return min((len(ref) for ref in refs), key=lambda r: (abs(r - c), r))
+    pairs = [_matches(cand, refs, n) for cand, refs in zip(candidates, references)]
+    return sum(m for m, _ in pairs), sum(t for _, t in pairs)
 
 
 def bleu_score(
@@ -106,28 +123,8 @@ def bleu_score(
 ) -> BleuResult:
     """Corpus-level BLEU over token sequences, one reference list per candidate."""
     _check_shapes(candidates, references)
-    c = sum(len(cand) for cand in candidates)
-    r = sum(_effective_ref_len(cand, refs) for cand, refs in zip(candidates, references))
-    bp = 1.0 if c > r else math.exp(1.0 - r / c)
-    precisions = []
-    for n in range(1, max_order + 1):
-        matched, total = modified_precision(candidates, references, n)
-        precisions.append(matched / total if total else 0.0)
-    zero_orders = tuple(n for n, p in enumerate(precisions, start=1) if p == 0.0)
-    bleu: dict[int, float] = {}
-    for k in range(1, max_order + 1):
-        if any(p == 0.0 for p in precisions[:k]):
-            bleu[k] = 0.0
-        else:
-            bleu[k] = bp * math.exp(sum(math.log(p) for p in precisions[:k]) / k)
-    return BleuResult(
-        precisions=tuple(precisions),
-        brevity_penalty=bp,
-        candidate_len=c,
-        effective_ref_len=r,
-        bleu=bleu,
-        zero_precision_orders=zero_orders,
-    )
+    vectors = [_stats(cand, refs, max_order) for cand, refs in zip(candidates, references)]
+    return _result([sum(column) for column in zip(*vectors)])
 
 
 def sentence_bleu(candidate: TokenSeq, references: Sequence[TokenSeq]) -> BleuResult:
@@ -147,9 +144,8 @@ def score_predictions(
     appear in neither the scores nor the missing ids.
     """
     by_id = corpus.by_id()
-    candidates: list[TokenSeq] = []
-    references: list[list[TokenSeq]] = []
-    scored_ids: list[str] = []
+    corpus_stats = [0] * (2 * MAX_ORDER + 2)
+    per_image: list[tuple[str, BleuResult]] = []
     missing: list[str] = []
     for image_id, caption in predictions.entries.items():
         record = by_id.get(image_id)
@@ -159,25 +155,7 @@ def score_predictions(
         tokens = tokenize(caption).tokens
         if not tokens:
             continue
-        candidates.append(tokens)
-        references.append([tokenize(cap.raw).tokens for cap in record.captions])
-        scored_ids.append(image_id)
-    if len(scored_ids) < len(predictions):
-        logger.warning("%d predictions skipped: %d ids missing from reference corpus, the rest empty",
-                       len(predictions) - len(scored_ids), len(missing))
-    if not candidates:
-        empty = BleuResult(
-            precisions=(0.0,) * MAX_ORDER,
-            brevity_penalty=1.0,
-            candidate_len=0,
-            effective_ref_len=0,
-            bleu={k: 0.0 for k in range(1, MAX_ORDER + 1)},
-            zero_precision_orders=tuple(range(1, MAX_ORDER + 1)),
-        )
-        return empty, [], missing
-    overall = bleu_score(candidates, references)
-    per_image = [
-        (image_id, bleu_score([cand], [refs]))
-        for image_id, cand, refs in zip(scored_ids, candidates, references)
-    ]
-    return overall, per_image, missing
+        stats = _stats(tokens, [tokenize(cap.raw).tokens for cap in record.captions], MAX_ORDER)
+        corpus_stats = [a + b for a, b in zip(corpus_stats, stats)]
+        per_image.append((image_id, _result(stats)))
+    return _result(corpus_stats), per_image, missing

@@ -60,10 +60,15 @@ def _mention_set(caption: str, fold_plural_s: bool) -> frozenset[str]:
     return frozenset(toks)
 
 
-def _mentions(trigger: str, mention_set: frozenset[str], fold_plural_s: bool) -> bool:
-    if trigger in mention_set:
-        return True
-    return fold_plural_s and len(trigger) > 1 and trigger.endswith("s") and trigger[:-1] in mention_set
+def _lookup(triggers: Mapping, fold_plural_s: bool) -> dict[str, set]:
+    # mention -> keys whose trigger it fires; with folding a plural trigger also fires on its singular
+    lookup: dict[str, set] = {}
+    for key, words in triggers.items():
+        for word in words:
+            lookup.setdefault(word, set()).add(key)
+            if fold_plural_s and len(word) > 1 and word.endswith("s"):
+                lookup.setdefault(word[:-1], set()).add(key)
+    return lookup
 
 
 def default_scene_keywords(labels: Sequence[LabelRecord]) -> dict[str, frozenset[str]]:
@@ -112,6 +117,9 @@ def scene_matrix(
     attribute_counts = {(attr, scene): 0 for attr in attributes for scene in scenes}
     totals = {scene: 0 for scene in scenes}
     missing = []
+    scene_lookup = _lookup(scene_keywords, fold_plural_s)
+    # keyed by position: an attribute listed twice is counted twice, as the oracle does
+    attribute_lookup = _lookup({i: (attr,) for i, attr in enumerate(attributes)}, fold_plural_s)
     for label in labels:
         caption = predictions.entries.get(label.image_id)
         if caption is None:
@@ -119,12 +127,10 @@ def scene_matrix(
             continue
         mention_set = _mention_set(caption, fold_plural_s)
         totals[label.scene] += 1
-        for col in scenes:
-            if any(_mentions(t, mention_set, fold_plural_s) for t in scene_keywords[col]):
-                matrix[(label.scene, col)] += 1
-        for attr in attributes:
-            if _mentions(attr, mention_set, fold_plural_s):
-                attribute_counts[(attr, label.scene)] += 1
+        for col in set().union(*(scene_lookup.get(m, ()) for m in mention_set)):
+            matrix[(label.scene, col)] += 1
+        for i in set().union(*(attribute_lookup.get(m, ()) for m in mention_set)):
+            attribute_counts[(attributes[i], label.scene)] += 1
     if missing:
         logger.warning("%d labeled images have no prediction; skipped", len(missing))
     scored = sum(totals.values())

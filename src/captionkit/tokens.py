@@ -45,8 +45,7 @@ def tokenize(text: str) -> TokenizedSentence:
         tok = _strip_edges(chunk)
         if tok:
             toks.append(tok)
-    chars = sum(1 for ch in text if ch.isalnum())
-    return TokenizedSentence(tuple(toks), chars)
+    return TokenizedSentence(tuple(toks), sum(map(str.isalnum, text)))
 
 
 def split_sentences(text: str) -> list[str]:

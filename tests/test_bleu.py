@@ -12,6 +12,7 @@ from captionkit.bleu import (
 )
 from captionkit.corpus import PredictionSet, corpus_from_documents
 from captionkit.exceptions import DegenerateInputError
+from captionkit.tokens import tokenize
 from oracles import oracle_bleu
 
 ALPHABET = ["a", "b", "c", "d", "e"]
@@ -121,6 +122,55 @@ def test_equal_precisions_give_bp_times_p():
         assert result.bleu[k] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("max_order", range(1, 7))
+def test_max_order_matches_oracle(max_order):
+    rng = random.Random(600 + max_order)
+    for _ in range(100):
+        candidates, references = _random_case(rng)
+        result = bleu_score(candidates, references, max_order=max_order)
+        precisions, bp, c, r, by_order = oracle_bleu(candidates, references, max_order=max_order)
+        assert result.precisions == tuple(precisions)
+        assert result.brevity_penalty == bp
+        assert (result.candidate_len, result.effective_ref_len) == (c, r)
+        assert dict(result.bleu) == by_order
+        assert result.zero_precision_orders == tuple(n for n, p in enumerate(precisions, 1) if p == 0.0)
+
+
+def _as_oracle(result):
+    return (list(result.precisions), result.brevity_penalty, result.candidate_len,
+            result.effective_ref_len, dict(result.bleu))
+
+
+def test_score_predictions_rows_and_corpus_match_oracle():
+    rng = random.Random(8080)
+
+    def text():
+        # "..." tokenizes to nothing, as a reference or as a prediction
+        return "..." if rng.random() < 0.1 else " ".join(
+            rng.choice(ALPHABET) for _ in range(rng.randint(1, 12)))
+
+    for _ in range(200):
+        documents = {
+            f"i{n}": [text() for _ in range(rng.randint(1, 5))] for n in range(rng.randint(1, 8))
+        }
+        corpus = corpus_from_documents(documents, "refs")
+        entries = {image_id: text() for image_id in documents if rng.random() < 0.8}
+        entries.update({f"ghost{n}": text() for n in range(rng.randint(0, 2))})
+        overall, per_image, missing = score_predictions(PredictionSet(entries), corpus)
+
+        scored = [i for i in entries if i in documents and tokenize(entries[i]).tokens]
+        assert [image_id for image_id, _ in per_image] == scored
+        assert missing == [i for i in entries if i not in documents]
+        candidates = [list(tokenize(entries[i]).tokens) for i in scored]
+        references = [[list(tokenize(t).tokens) for t in documents[i]] for i in scored]
+        for (_, result), cand, refs in zip(per_image, candidates, references):
+            assert _as_oracle(result) == oracle_bleu([cand], [refs])
+        if scored:
+            assert _as_oracle(overall) == oracle_bleu(candidates, references)
+        else:
+            assert _as_oracle(overall) == ([0.0] * 4, 1.0, 0, 0, {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0})
+
+
 def test_oracle_equivalence_bit_exact():
     rng = random.Random(4242)
     for _ in range(300):
@@ -183,4 +233,8 @@ def test_score_predictions_empty():
     corpus = corpus_from_documents({"i1": ["a b"]}, "refs")
     overall, per_image, missing = score_predictions(PredictionSet({}), corpus)
     assert per_image == [] and missing == []
-    assert overall.bleu[1] == 0.0
+    assert overall.precisions == (0.0, 0.0, 0.0, 0.0)
+    assert overall.brevity_penalty == 1.0
+    assert (overall.candidate_len, overall.effective_ref_len) == (0, 0)
+    assert dict(overall.bleu) == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
+    assert overall.zero_precision_orders == (1, 2, 3, 4)

@@ -282,6 +282,11 @@ def test_bleu_skips_predictions_without_tokens(tmp_path, corpus_file, capsys):
     assert "2 predictions skipped" in captured.err
     with open(per_image, newline="") as fh:
         assert [row[0] for row in csv.reader(fh)] == ["image_id", "i2"]
+    # a fresh interpreter, where no logging handler hides a second warning
+    proc = _python(["-m", "captionkit", "bleu", "--predictions", str(preds),
+                    "--references", corpus_file])
+    assert proc.returncode == 0, proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if "skipped" in line]) == 1, proc.stderr
 
 
 def test_backtranslate_workers_option(corpus_file, tmp_path, capsys):

@@ -34,6 +34,21 @@ def _eight_keywords():
     return {scene: frozenset({scene}) for scene in EIGHT_SCENES}
 
 
+# Triggers shared by two scenes (sea, yellow, green), plural triggers whose
+# singular appears in captions (forests, railways, rivers, bridges), and one
+# that folding must not reduce to the caption's word ("beaches" is not "beach").
+SHARED_PLURAL_KEYWORDS = {
+    "airport": frozenset({"airport", "planes"}),
+    "beach": frozenset({"beaches", "sea", "yellow"}),
+    "desert": frozenset({"desert", "yellow", "dunes"}),
+    "forest": frozenset({"forests", "trees", "green"}),
+    "port": frozenset({"port", "sea", "ships"}),
+    "railway": frozenset({"railways", "line"}),
+    "river": frozenset({"rivers", "bridges"}),
+    "stadium": frozenset({"stadium", "green"}),
+}
+
+
 def test_airport_diagonal_increment():
     predictions = PredictionSet({"a1": "many planes are parked in an airport"})
     labels = [LabelRecord("a1", "airport")]
@@ -153,16 +168,17 @@ def _random_fixture(rng, n_images=100):
 
 def test_matrix_matches_nested_loop_oracle():
     rng = random.Random(777)
-    keywords = _eight_keywords()
+    cases = [(_eight_keywords(), True), (SHARED_PLURAL_KEYWORDS, True), (SHARED_PLURAL_KEYWORDS, False)]
     for _ in range(30):
         predictions, labels = _random_fixture(rng)
-        report = scene_matrix(predictions, labels, keywords)
-        matrix, totals, accuracy = oracle_scene_matrix(
-            predictions, labels, keywords, tokenize
-        )
-        assert dict(report.scene_matrix) == matrix
-        assert dict(report.per_scene_totals) == totals
-        assert report.diagonal_accuracy == accuracy
+        for keywords, fold in cases:
+            report = scene_matrix(predictions, labels, keywords, fold)
+            matrix, totals, accuracy = oracle_scene_matrix(
+                predictions, labels, keywords, tokenize, fold
+            )
+            assert dict(report.scene_matrix) == matrix
+            assert dict(report.per_scene_totals) == totals
+            assert report.diagonal_accuracy == accuracy
 
 
 def test_attribute_example_beach():
@@ -183,7 +199,8 @@ def test_attribute_absent_everywhere_zero_row():
 
 def test_attribute_table_matches_oracle():
     rng = random.Random(31)
-    attributes = ["trees", "white", "yellow", "sea", "waves"]
+    # "bridges" is plural against the captions' "bridge"; "white" is listed twice
+    attributes = ["trees", "white", "yellow", "sea", "waves", "bridges", "white"]
     for _ in range(20):
         predictions, labels = _random_fixture(rng, n_images=60)
         got = attribute_table(predictions, labels, attributes)

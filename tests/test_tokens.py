@@ -42,6 +42,12 @@ def test_char_count_letters_and_digits_only():
     assert tokenize("c-shaped, 2!").char_count == 8
 
 
+@given(st.text())
+def test_char_count_matches_per_character_count(text):
+    # reference: a plain per-character count
+    assert tokenize(text).char_count == sum(1 for ch in text if ch.isalnum())
+
+
 def test_split_two_sentences():
     assert split_sentences("a beach. a desert.") == ["a beach", "a desert"]
 
