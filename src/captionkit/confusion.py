@@ -106,20 +106,20 @@ def scene_matrix(
 
     Presence-based: one image increments a cell at most once. The same pass
     counts, per attribute token and true scene, the captions mentioning that
-    attribute. Labeled images without a prediction are reported on the result
-    and skipped.
+    attribute; an attribute listed twice is counted once. Labeled images
+    without a prediction are reported on the result and skipped.
     """
     for label in labels:
         if label.scene not in scene_keywords:
             raise ConfigurationError(f"no keyword set configured for scene {label.scene!r}")
     scenes = tuple(scene_keywords)
+    attributes = tuple(dict.fromkeys(attributes))
     matrix = {(true, col): 0 for true in scenes for col in scenes}
     attribute_counts = {(attr, scene): 0 for attr in attributes for scene in scenes}
     totals = {scene: 0 for scene in scenes}
     missing = []
     scene_lookup = _lookup(scene_keywords, fold_plural_s)
-    # keyed by position: an attribute listed twice is counted twice, as the oracle does
-    attribute_lookup = _lookup({i: (attr,) for i, attr in enumerate(attributes)}, fold_plural_s)
+    attribute_lookup = _lookup({attr: (attr,) for attr in attributes}, fold_plural_s)
     for label in labels:
         caption = predictions.entries.get(label.image_id)
         if caption is None:
@@ -129,8 +129,8 @@ def scene_matrix(
         totals[label.scene] += 1
         for col in set().union(*(scene_lookup.get(m, ()) for m in mention_set)):
             matrix[(label.scene, col)] += 1
-        for i in set().union(*(attribute_lookup.get(m, ()) for m in mention_set)):
-            attribute_counts[(attributes[i], label.scene)] += 1
+        for attr in set().union(*(attribute_lookup.get(m, ()) for m in mention_set)):
+            attribute_counts[(attr, label.scene)] += 1
     if missing:
         logger.warning("%d labeled images have no prediction; skipped", len(missing))
     scored = sum(totals.values())
@@ -141,7 +141,7 @@ def scene_matrix(
         attribute_table=attribute_counts,
         per_scene_totals=totals,
         diagonal_accuracy=diagonal / scored if scored else 0.0,
-        attributes=tuple(attributes),
+        attributes=attributes,
         missing_ids=tuple(missing),
     )
 

@@ -13,7 +13,7 @@ import json
 import os
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -105,9 +105,6 @@ class Corpus:
     def by_id(self) -> dict[str, ImageRecord]:
         return {record.image_id: record for record in self.records}
 
-    def with_provenance(self, provenance: str) -> "Corpus":
-        return replace(self, provenance=provenance)
-
 
 @dataclass(frozen=True)
 class LabelRecord:
@@ -141,7 +138,7 @@ class Finding:
     image_id: str | None = None
 
     def to_dict(self) -> dict:
-        return {"code": self.code, "message": self.message, "image_id": self.image_id}
+        return asdict(self)
 
 
 def _map_split(value: object) -> Split:
@@ -247,7 +244,7 @@ _RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[object, str], object]]]
 }
 
 
-def _record(obj: object, where: str, format: str, source: CaptionSource) -> ImageRecord:
+def _record(obj: object, where: str, format: str) -> ImageRecord:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object")
     id_key, list_key, scene_key, text_of = _RECORD_FIELDS[format]
@@ -260,7 +257,7 @@ def _record(obj: object, where: str, format: str, source: CaptionSource) -> Imag
         text = text_of(item, where)
         if not isinstance(text, str) or not text.strip():
             raise ValidationError(f"{where}: empty caption for image {image_id!r}")
-        captions.append(Caption(image_id, text, source))
+        captions.append(Caption(image_id, text))
     scene = obj.get(scene_key)
     scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
     return ImageRecord(
@@ -275,7 +272,6 @@ def ingest_captions(
     path: str | Path,
     format: str = "jsonl",
     provenance: str | None = None,
-    source: CaptionSource = CaptionSource.HUMAN,
 ) -> Corpus:
     """Load a caption corpus from ``rsicd_json`` or ``jsonl`` (see README schemas).
 
@@ -293,7 +289,7 @@ def ingest_captions(
         entries = ((f"{path}: images[{i}]", entry) for i, entry in enumerate(images))
     else:
         entries = _jsonl_objects(path)
-    records = [_record(obj, where, format, source) for where, obj in entries]
+    records = [_record(obj, where, format) for where, obj in entries]
     seen: set[str] = set()
     for record in records:
         if record.image_id in seen:
@@ -313,11 +309,6 @@ def jsonl_lines(corpus: Corpus) -> Iterator[str]:
         if record.scene_class is not None:
             obj["scene"] = record.scene_class
         yield json.dumps(obj, ensure_ascii=False) + "\n"
-
-
-def captions_to_jsonl(corpus: Corpus) -> str:
-    """Render the flat captions-JSONL serialization; round-trips through ingest."""
-    return "".join(jsonl_lines(corpus))
 
 
 def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:

@@ -2,12 +2,14 @@
 
 Syllables come from a frozen heuristic (contiguous vowel groups with a silent
 trailing-e rule), so all syllable-dependent numbers are heuristic-relative.
-A "complex" word is any token of three or more heuristic syllables, counted
-per occurrence.
+Syllables are counted once per token type and weighted by the type's count.
+A "complex" word is any token of three or more heuristic syllables; the
+complex-word share still counts occurrences.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,19 +95,20 @@ def report_from_aggregates(
 
 def report(corpus: Corpus) -> ReadabilityReport:
     """Compute the full readability panel over every caption in the corpus."""
-    characters = words = sentences = syllables = complex_words = 0
-    vocabulary: set[str] = set()
+    characters = sentences = 0
+    counts: Counter[str] = Counter()
     for cap in corpus.captions():
         sentence = tokenize(cap.raw)
         characters += sentence.char_count
-        words += len(sentence.tokens)
+        counts.update(sentence.tokens)
         sentences += len(split_sentences(cap.raw))
-        for tok in sentence.tokens:
-            n = count_syllables(tok)
-            syllables += n
-            if n >= COMPLEX_SYLLABLES:
-                complex_words += 1
-        vocabulary.update(sentence.tokens)
+    words = counts.total()
+    syllables = complex_words = 0
+    for tok, count in counts.items():
+        n = count_syllables(tok)
+        syllables += n * count
+        if n >= COMPLEX_SYLLABLES:
+            complex_words += count
     if words == 0 or sentences == 0:
         raise DegenerateInputError("corpus has no words or no sentences")
     words_per_sentence = words / sentences
@@ -115,7 +118,7 @@ def report(corpus: Corpus) -> ReadabilityReport:
     return ReadabilityReport(
         characters=characters,
         words=words,
-        unique_words=len(vocabulary),
+        unique_words=len(counts),
         complex_pct=complex_pct,
         syllables_per_word=syllables_per_word,
         sentences=sentences,

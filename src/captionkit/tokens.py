@@ -5,7 +5,8 @@ here, so absolute token counts are only comparable between corpora processed
 by the same rules:
 
 - lower-case, split on whitespace
-- leading/trailing punctuation stripped per token
+- characters other than letters and digits, ``_`` included, are stripped from
+  each chunk's ends
 - internal hyphens and apostrophes kept ("c-shaped" and "it's" are one token)
 - pure digit runs kept as tokens
 """
@@ -16,6 +17,9 @@ import re
 from dataclasses import dataclass
 
 _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
+# One whitespace-delimited chunk from its first to its last letter or digit:
+# [^\W_] accepts exactly what str.isalnum does, \s exactly what str.isspace does.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 @dataclass(frozen=True)
@@ -26,26 +30,12 @@ class TokenizedSentence:
     char_count: int
 
 
-def _strip_edges(chunk: str) -> str:
-    start, end = 0, len(chunk)
-    while start < end and not chunk[start].isalnum():
-        start += 1
-    while end > start and not chunk[end - 1].isalnum():
-        end -= 1
-    return chunk[start:end]
-
-
 def tokenize(text: str) -> TokenizedSentence:
     """Tokenize one caption (or any text) into lower-case tokens.
 
     Empty or whitespace-only text yields an empty token sequence.
     """
-    toks = []
-    for chunk in text.lower().split():
-        tok = _strip_edges(chunk)
-        if tok:
-            toks.append(tok)
-    return TokenizedSentence(tuple(toks), sum(map(str.isalnum, text)))
+    return TokenizedSentence(tuple(_TOKEN.findall(text.lower())), sum(map(str.isalnum, text)))
 
 
 def split_sentences(text: str) -> list[str]:

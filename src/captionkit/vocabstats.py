@@ -9,7 +9,7 @@ tend to copy within one image's caption group.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -37,16 +37,7 @@ class VocabularyProfile:
         return sorted(self.freq.items(), key=lambda item: (-item[1], item[0]))
 
     def to_dict(self) -> dict:
-        return {
-            "total_tokens": self.total_tokens,
-            "unique_tokens": self.unique_tokens,
-            "hapax_count": self.hapax_count,
-            "total_captions": self.total_captions,
-            "unique_captions": self.unique_captions,
-            "duplicate_captions": self.duplicate_captions,
-            "within_image_duplicate_captions": self.within_image_duplicate_captions,
-            "freq": dict(self.freq),
-        }
+        return asdict(self)
 
 
 class Coverage(NamedTuple):

@@ -91,7 +91,22 @@ def oracle_attribute_table(predictions, labels, attributes, tokenizer, fold_plur
         if label.image_id not in predictions.entries:
             continue
         tokens = list(tokenizer(predictions.entries[label.image_id]).tokens)
-        for attr in attributes:
+        for attr in dict.fromkeys(attributes):
             if _keyword_hit(attr, tokens, fold_plural_s):
                 counts[(attr, label.scene)] += 1
     return counts
+
+
+def oracle_tokens(text):
+    """The per-character tokenizer loop: split on whitespace, strip each chunk's
+    non-alphanumeric ends, drop chunks that strip to nothing."""
+    tokens = []
+    for chunk in text.lower().split():
+        start, end = 0, len(chunk)
+        while start < end and not chunk[start].isalnum():
+            start += 1
+        while end > start and not chunk[end - 1].isalnum():
+            end -= 1
+        if start < end:
+            tokens.append(chunk[start:end])
+    return tuple(tokens)

@@ -13,7 +13,7 @@ from captionkit.augment import (
     load_thesaurus,
     synonym_expand,
 )
-from captionkit.corpus import captions_to_jsonl, corpus_from_documents, validate
+from captionkit.corpus import corpus_from_documents, jsonl_lines, validate
 from captionkit.exceptions import ConfigurationError, TranslationError, ValidationError
 from captionkit.tokens import tokenize
 from captionkit.translate import MockTranslator, TranslationChain
@@ -226,7 +226,7 @@ def test_synonym_seed_determinism():
     )
     a = synonym_expand(corpus, thesaurus, 2, seed=7)
     b = synonym_expand(corpus, thesaurus, 2, seed=7)
-    assert captions_to_jsonl(a) == captions_to_jsonl(b)
+    assert list(jsonl_lines(a)) == list(jsonl_lines(b))
     assert a == b
 
 

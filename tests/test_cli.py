@@ -190,6 +190,19 @@ def test_score_confusion_cli(tmp_path, capsys):
     assert _stdout_json(capsys)["diagonal_accuracy"] == 1.0
 
 
+def test_score_confusion_repeated_attribute_one_row(tmp_path):
+    preds = write_jsonl(tmp_path / "p.jsonl", [{"image_id": "n1", "caption": "white waves"}])
+    labels = write_jsonl(tmp_path / "l.jsonl", [{"image_id": "n1", "scene": "beach"}])
+    attributes = tmp_path / "attributes.txt"
+    attributes.write_text("white\nwaves\nwhite\n", encoding="utf-8")
+    out_dir = tmp_path / "report"
+    assert run(["score-confusion", "--predictions", str(preds), "--labels", str(labels),
+                "--attributes", str(attributes), "--out", str(out_dir)]) == 0
+    with open(out_dir / "attribute_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["attribute\\true_scene", "beach"], ["white", "1"], ["waves", "1"]]
+
+
 def test_index_build_and_query(corpus_file, tmp_path, capsys):
     idx = tmp_path / "idx.json"
     assert run(["index", "build", "--captions", corpus_file, "--out", str(idx)]) == 0

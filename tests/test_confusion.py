@@ -208,6 +208,15 @@ def test_attribute_table_matches_oracle():
         assert got == expected
 
 
+def test_repeated_attribute_counted_once():
+    predictions = PredictionSet({"x": "white waves"})
+    labels = [LabelRecord("x", "beach")]
+    assert attribute_table(predictions, labels, ["white", "white"]) == {("white", "beach"): 1}
+    report = scene_matrix(predictions, labels, {"beach": frozenset({"beach"})},
+                          attributes=["white", "waves", "white"])
+    assert report.attributes == ("white", "waves")
+
+
 def test_matrix_export_and_reparse(tmp_path):
     predictions = PredictionSet(
         {"x": "a beach with white waves", "y": "many planes in an airport"}

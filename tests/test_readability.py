@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -6,7 +8,15 @@ from hypothesis import strategies as st
 
 from captionkit.corpus import corpus_from_documents
 from captionkit.exceptions import DegenerateInputError
-from captionkit.readability import count_syllables, report, report_from_aggregates
+from captionkit import readability
+from captionkit.readability import (
+    COMPLEX_SYLLABLES,
+    ReadabilityReport,
+    count_syllables,
+    report,
+    report_from_aggregates,
+)
+from captionkit.tokens import split_sentences, tokenize
 
 # frozen outputs of the vowel-group heuristic (regression fixtures)
 SYLLABLE_FIXTURES = {
@@ -142,3 +152,67 @@ def test_to_dict_row_names(small_corpus):
         "flesch_reading_ease",
         "flesch_kincaid_grade",
     }
+
+
+def _per_occurrence_report(corpus):
+    # reference: syllables counted for every token occurrence, one at a time
+    characters = words = sentences = syllables = complex_words = 0
+    vocabulary = set()
+    for cap in corpus.captions():
+        sentence = tokenize(cap.raw)
+        characters += sentence.char_count
+        words += len(sentence.tokens)
+        sentences += len(split_sentences(cap.raw))
+        for tok in sentence.tokens:
+            n = count_syllables(tok)
+            syllables += n
+            if n >= COMPLEX_SYLLABLES:
+                complex_words += 1
+        vocabulary.update(sentence.tokens)
+    words_per_sentence = words / sentences
+    syllables_per_word = syllables / words
+    complex_pct = 100.0 * complex_words / words
+    fog, flesch, fk = report_from_aggregates(words_per_sentence, syllables_per_word, complex_pct)
+    return ReadabilityReport(characters, words, len(vocabulary), complex_pct, syllables_per_word,
+                             sentences, words_per_sentence, fog, flesch, fk)
+
+
+# one- and two-syllable words plus words of three or more syllables, in mixed case
+WORDS = ["a", "sea", "Tree", "planes", "apple", "many", "beautiful", "Terminal",
+         "industrial", "residential", "a", "the", "3", "c-shaped", "it's"]
+
+
+def _random_corpus(rng):
+    documents = {}
+    for i in range(rng.randint(1, 12)):
+        captions = []
+        for _ in range(rng.randint(1, 5)):
+            words = [rng.choice(WORDS) for _ in range(rng.randint(1, 12))]
+            sentence_ends = [rng.choice(["", "", ".", "!"]) for _ in words]
+            captions.append(" ".join(w + end for w, end in zip(words, sentence_ends)) + ".")
+        documents[f"i{i}"] = captions
+    return corpus_from_documents(documents, "random")
+
+
+def test_report_matches_per_occurrence_reference():
+    rng = random.Random(5)
+    for _ in range(200):
+        corpus = _random_corpus(rng)
+        assert report(corpus) == _per_occurrence_report(corpus)
+
+
+def test_syllables_counted_once_per_token_type(monkeypatch):
+    calls = Counter()
+
+    def counting(word):
+        calls[word] += 1
+        return count_syllables(word)
+
+    monkeypatch.setattr(readability, "count_syllables", counting)
+    corpus = _random_corpus(random.Random(9))
+    rep = report(corpus)
+    distinct = {tok for cap in corpus.captions() for tok in tokenize(cap.raw).tokens}
+    assert set(calls) == distinct
+    assert set(calls.values()) == {1}
+    assert rep.unique_words == len(distinct)
+    assert rep.words > len(distinct)

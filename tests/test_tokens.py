@@ -1,9 +1,12 @@
+import re
 import string
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from captionkit.tokens import split_sentences, tokenize
+from oracles import oracle_tokens
 
 printable = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60)
 
@@ -46,6 +49,20 @@ def test_char_count_letters_and_digits_only():
 def test_char_count_matches_per_character_count(text):
     # reference: a plain per-character count
     assert tokenize(text).char_count == sum(1 for ch in text if ch.isalnum())
+
+
+@given(st.text())
+def test_tokens_match_per_character_oracle(text):
+    assert tokenize(text).tokens == oracle_tokens(text)
+
+
+def test_regex_classes_match_str_predicates_on_every_code_point():
+    # the tokenizer's regex relies on [^\W_] == str.isalnum and \s == str.isspace
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    alnum = [m.start() for m in re.finditer(r"[^\W_]", everything)]
+    space = [m.start() for m in re.finditer(r"\s", everything)]
+    assert alnum == [i for i, ch in enumerate(everything) if ch.isalnum()]
+    assert space == [i for i, ch in enumerate(everything) if ch.isspace()]
 
 
 def test_split_two_sentences():

@@ -48,6 +48,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}/translate"
     httpd.shutdown()
+    httpd.server_close()
     thread.join(timeout=5)
 
 
@@ -108,4 +109,5 @@ def test_malformed_response_body(tmp_path, server):
             HttpTranslator(url).translate("x", "en", "es")
     finally:
         httpd.shutdown()
+        httpd.server_close()
         thread.join(timeout=5)
