@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .corpus import Caption, CaptionSource, Corpus, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
 from .tokens import tokenize
-from .translate import TranslationChain
+from .translate import TranslationChain, _PermanentFailure
 
 logger = logging.getLogger(__name__)
 
@@ -118,74 +118,63 @@ def _nearest_known(token: str, known: frozenset[str], alphabet: Sequence[str]) -
     return hits - {token}
 
 
-def _apply_merges(tokens: list[str], patterns: tuple[MergePattern, ...]) -> list[str]:
-    if not patterns:
-        return tokens
+def _apply_merges(tokens: tuple[str, ...], merges: Mapping[tuple[str, str], str]) -> list[str]:
     out: list[str] = []
     i = 0
     while i < len(tokens):
-        for (first, second), merged in patterns:
-            if i + 1 < len(tokens) and tokens[i] == first and tokens[i + 1] == second:
-                out.append(merged)
-                i += 2
-                break
-        else:
+        merged = merges.get(tokens[i : i + 2])
+        if merged is None:
             out.append(tokens[i])
             i += 1
+        else:
+            out.append(merged)
+            i += 2
     return out
 
 
 def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = False) -> Corpus:
     """Merge broken bigrams, apply overrides, spell-fix, optionally prune duplicates.
 
-    Out-of-dictionary tokens are replaced by the nearest accepted word within
-    edit distance 2 (one or two single-character deletes/inserts/replaces or
-    adjacent transposes), ties broken by higher corpus frequency then
-    lexicographically. Tokens of one or two characters and pure digit tokens
-    are exempt from fuzzy substitution; merge rules and overrides still apply
-    to them. Pruning keeps the first occurrence of each normalized caption
-    corpus-wide; a record whose captions are all pruned is dropped.
+    The first merge rule listed for a bigram wins; overrides beat the
+    spell-fix, which replaces each out-of-dictionary token type, once per run,
+    by the nearest accepted word within edit distance 2 (one or two
+    single-character deletes/inserts/replaces or adjacent transposes), ties
+    broken by higher corpus frequency then lexicographically. Tokens of one or
+    two characters and pure digit tokens are exempt from fuzzy substitution;
+    merge rules and overrides still apply to them. Pruning keeps the first
+    occurrence of each normalized caption corpus-wide; a record whose
+    captions are all pruned is dropped.
     """
     if not rules.dictionary:
         raise ConfigurationError("correction rules have an empty dictionary")
     corpus_freq = Counter(tok for cap in corpus.captions() for tok in tokenize(cap.raw).tokens)
-    known = frozenset(
-        set(rules.dictionary)
-        | {merged for _, merged in rules.merge_patterns}
-        | set(rules.manual_overrides.values())
-    )
+    merges = dict(reversed(rules.merge_patterns))  # the first rule listed for a bigram wins
+    merged_tokens = (merged for _, merged in rules.merge_patterns)
+    known = rules.dictionary.union(merged_tokens, rules.manual_overrides.values())
     alphabet = sorted({ch for word in known for ch in word})
-    cache: dict[str, str] = {}
-
-    def fix(token: str) -> str:
-        if token in known:
-            return token
-        if len(token) <= 2 or token.isdigit():
-            return token
-        if token not in cache:
-            candidates = _nearest_known(token, known, alphabet)
-            if candidates:
-                cache[token] = min(candidates, key=lambda w: (-corpus_freq[w], w))
-            else:
-                cache[token] = token
-                logger.info("no correction within edit distance 2 for %r", token)
-        return cache[token]
+    # a token reaching the fix step is a corpus type or a (known) merged token
+    fixes = dict(rules.manual_overrides)
+    for token in corpus_freq:
+        if token in known or token in fixes or len(token) <= 2 or token.isdigit():
+            continue
+        candidates = _nearest_known(token, known, alphabet)
+        if candidates:
+            fixes[token] = min(candidates, key=lambda w: (-corpus_freq[w], w))
+        else:
+            logger.info("no correction within edit distance 2 for %r", token)
 
     seen_norms: set[str] = set()
     records_out = []
     for record in corpus.records:
         captions_out = []
         for cap in record.captions:
-            toks = _apply_merges(list(tokenize(cap.raw).tokens), rules.merge_patterns)
-            toks = [rules.manual_overrides.get(t, t) for t in toks]
-            toks = [fix(t) for t in toks]
+            toks = _apply_merges(tokenize(cap.raw).tokens, merges)
+            norm = " ".join([fixes.get(tok, tok) for tok in toks])
             if prune_duplicates:
-                norm = " ".join(toks)
                 if norm in seen_norms:
                     continue
                 seen_norms.add(norm)
-            text = " ".join(toks) if toks else cap.raw
-            captions_out.append(Caption(record.image_id, text, cap.source))
+            captions_out.append(Caption(record.image_id, norm or cap.raw, cap.source))
         if captions_out:
             records_out.append(replace(record, captions=tuple(captions_out)))
         else:
@@ -234,23 +223,6 @@ def synonym_expand(
     return Corpus(tuple(records_out), f"{corpus.provenance}-synonym")
 
 
-def _translate_with_retry(
-    chain: TranslationChain, text: str, max_retries: int, backoff: float
-) -> str:
-    result = text
-    for src, dst in chain.legs():
-        for attempt in range(max_retries + 1):
-            try:
-                result = chain.translator.translate(result, src, dst)
-                break
-            except TranslationError:
-                if attempt == max_retries:
-                    raise
-                if backoff > 0:
-                    time.sleep(backoff * (2**attempt))
-    return result
-
-
 def back_translate(
     corpus: Corpus,
     chain: TranslationChain,
@@ -261,19 +233,28 @@ def back_translate(
 ) -> Corpus:
     """Round-trip every caption through the pivot chain and append changed results.
 
-    A caption whose round-trip fails (after retries) is logged and kept
-    without a variant; if every caption fails the whole operation errors.
-    Requests run on a pool of ``concurrency`` worker threads (``ValueError``
-    below one); output order always follows input order.
+    Only transient translation failures are retried, with exponential backoff.
+    A caption whose round-trip fails is logged and kept without a variant; if
+    every caption fails the whole operation errors. Requests run on a pool of
+    ``concurrency`` worker threads (``ValueError`` below one); output order
+    always follows input order.
     """
     captions = list(corpus.captions())
 
     def roundtrip(cap: Caption) -> str | None:
-        try:
-            return _translate_with_retry(chain, cap.raw, max_retries, backoff)
-        except TranslationError as exc:
-            logger.warning("back-translation failed for %r: %s", cap.image_id, exc)
-            return None
+        text = cap.raw
+        for src, dst in chain.legs():
+            for attempt in range(max_retries + 1):
+                try:
+                    text = chain.translator.translate(text, src, dst)
+                    break
+                except TranslationError as exc:
+                    if attempt == max_retries or isinstance(exc, _PermanentFailure):
+                        logger.warning("back-translation failed for %r: %s", cap.image_id, exc)
+                        return None
+                    if backoff > 0:
+                        time.sleep(backoff * (2**attempt))
+        return text
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         results = list(pool.map(roundtrip, captions))
@@ -281,13 +262,12 @@ def back_translate(
     if captions and all(result is None for result in results):
         raise TranslationError("back-translation failed for every caption")
 
-    cursor = 0
+    pending = iter(results)
     records_out = []
     for record in corpus.records:
         variants = []
         for cap in record.captions:
-            result = results[cursor]
-            cursor += 1
+            result = next(pending)
             if result is not None and result.strip() and result != cap.raw:
                 variants.append(Caption(record.image_id, result, CaptionSource.AUGMENTED))
         records_out.append(replace(record, captions=record.captions + tuple(variants)))

@@ -16,6 +16,10 @@ import requests
 from .exceptions import TranslationError, ValidationError
 
 
+class _PermanentFailure(TranslationError):
+    """The service rejected the request or its answer is unusable; a retry cannot help."""
+
+
 class Translator(Protocol):
     def translate(self, text: str, src: str, dst: str) -> str: ...
 
@@ -61,6 +65,8 @@ class MockTranslator:
     def __init__(self, rules: Mapping[Sequence[str], Sequence[str]] | None = None):
         source = DEFAULT_MOCK_RULES if rules is None else rules
         self._rules = {tuple(pat): tuple(rep) for pat, rep in source.items()}
+        if () in self._rules:
+            raise ValidationError("mock translator pattern must not be empty")
         # longest pattern first so "next to" wins over any single-word rule
         self._patterns = sorted(self._rules, key=lambda pat: (-len(pat), pat))
 
@@ -107,12 +113,16 @@ class HttpTranslator:
         try:
             response = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
             response.raise_for_status()
-            body = response.json()
         except requests.RequestException as exc:
-            raise TranslationError(f"translation request failed ({src}->{dst}): {exc}") from exc
+            status = getattr(exc.response, "status_code", 0)
+            transient = not 400 <= status < 500 or status in (408, 429)
+            error = TranslationError if transient else _PermanentFailure
+            raise error(f"translation request failed ({src}->{dst}): {exc}") from exc
+        try:
+            body = response.json()
         except ValueError as exc:
-            raise TranslationError(f"translation response is not JSON ({src}->{dst})") from exc
+            raise _PermanentFailure(f"translation response is not JSON ({src}->{dst})") from exc
         translated = body.get("translatedText") if isinstance(body, dict) else None
         if not isinstance(translated, str):
-            raise TranslationError(f"translation response missing 'translatedText' ({src}->{dst})")
+            raise _PermanentFailure(f"translation response missing 'translatedText' ({src}->{dst})")
         return translated

@@ -2,9 +2,18 @@
 
 These deliberately avoid Counter/dict tricks: n-grams are materialized as
 lists and counted by scanning, so they share no code path with the library.
+The exception is ``oracle_correct``, the earlier rewrite path of
+``augment.correct``: it reuses the library's tokenizer and nearest-word
+search and differs in how it applies the rules.
 """
 
 import math
+from collections import Counter
+from dataclasses import replace
+
+from captionkit.augment import _nearest_known
+from captionkit.corpus import Caption, Corpus
+from captionkit.tokens import tokenize
 
 
 def _ngrams(seq, n):
@@ -110,3 +119,62 @@ def oracle_tokens(text):
         if start < end:
             tokens.append(chunk[start:end])
     return tuple(tokens)
+
+
+def _scan_merges(tokens, patterns):
+    # at each position, try every merge rule in the order listed
+    out = []
+    i = 0
+    while i < len(tokens):
+        for (first, second), merged in patterns:
+            if i + 1 < len(tokens) and tokens[i] == first and tokens[i + 1] == second:
+                out.append(merged)
+                i += 2
+                break
+        else:
+            out.append(tokens[i])
+            i += 1
+    return out
+
+
+def oracle_correct(corpus, rules, prune_duplicates=False):
+    """``correct`` as a rule-by-rule scan: merges, then overrides, then a
+    spell-fix searched lazily for each token and cached per type."""
+    corpus_freq = Counter(tok for cap in corpus.captions() for tok in tokenize(cap.raw).tokens)
+    known = frozenset(
+        set(rules.dictionary)
+        | {merged for _, merged in rules.merge_patterns}
+        | set(rules.manual_overrides.values())
+    )
+    alphabet = sorted({ch for word in known for ch in word})
+    cache = {}
+
+    def fix(token):
+        if token in known or len(token) <= 2 or token.isdigit():
+            return token
+        if token not in cache:
+            candidates = _nearest_known(token, known, alphabet)
+            if candidates:
+                cache[token] = min(candidates, key=lambda w: (-corpus_freq[w], w))
+            else:
+                cache[token] = token
+        return cache[token]
+
+    seen_norms = set()
+    records_out = []
+    for record in corpus.records:
+        captions_out = []
+        for cap in record.captions:
+            toks = _scan_merges(list(tokenize(cap.raw).tokens), rules.merge_patterns)
+            toks = [rules.manual_overrides.get(t, t) for t in toks]
+            toks = [fix(t) for t in toks]
+            if prune_duplicates:
+                norm = " ".join(toks)
+                if norm in seen_norms:
+                    continue
+                seen_norms.add(norm)
+            text = " ".join(toks) if toks else cap.raw
+            captions_out.append(Caption(record.image_id, text, cap.source))
+        if captions_out:
+            records_out.append(replace(record, captions=tuple(captions_out)))
+    return Corpus(tuple(records_out), f"{corpus.provenance}-corrected")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from captionkit import augment
 from captionkit.augment import (
     CorrectionRules,
     Thesaurus,
@@ -17,6 +18,7 @@ from captionkit.corpus import corpus_from_documents, jsonl_lines, validate
 from captionkit.exceptions import ConfigurationError, TranslationError, ValidationError
 from captionkit.tokens import tokenize
 from captionkit.translate import MockTranslator, TranslationChain
+from oracles import oracle_correct
 
 BASIC_DICT = frozenset(
     "a an the building buildings beach sea many planes are parked in airport "
@@ -151,6 +153,87 @@ def test_rule_validation():
         CorrectionRules(BASIC_DICT, merge_patterns=((("c", "shape"), "two words"),))
     with pytest.raises(ValidationError):
         CorrectionRules(BASIC_DICT, manual_overrides={"x": ""})
+
+
+def _random_correction_case(rng):
+    """A small corpus and rule set over a four-letter alphabet, so most words
+    lie within two edits of several known words and ties are common."""
+
+    def word(lo, hi):
+        return "".join(rng.choices("abcd", k=rng.randint(lo, hi)))
+
+    def typo(w):
+        i = rng.randrange(len(w))
+        ch = word(1, 1)
+        return rng.choice([w[:i] + w[i + 1 :], w[:i] + ch + w[i:], w[:i] + ch + w[i + 1 :]])
+
+    dictionary = sorted({word(3, 4) for _ in range(rng.randint(1, 6))})
+    typos = [typo(typo(w)) if rng.random() < 0.3 else typo(w) for w in dictionary]
+    far = [word(7, 7)]  # more than two edits from every known word
+    short = [word(1, 2), word(2, 2)]
+    digits = ["12", "007", "2024"]
+    vocab = dictionary + typos + far + short + digits
+    bigrams = [(rng.choice(vocab), rng.choice(vocab)) for _ in range(rng.randint(2, 4))]
+    patterns = [(bigram, word(3, 4)) for bigram in bigrams[1:]]
+    patterns.append((bigrams[0], f"{word(1, 2)}-{word(1, 2)}"))
+    # a bigram listed twice: its second merged token is never produced, but it is known
+    patterns.insert(rng.randint(1, len(patterns)), (patterns[0][0], word(3, 4)))
+    overrides = {
+        patterns[0][1]: rng.choice(dictionary),  # keyed by a merged token
+        short[1]: word(3, 4),  # keyed by a 2-letter token
+        rng.choice(typos): word(1, 2) + "007",  # puts the digit token "007" near a known word
+    }
+    documents = {}
+    texts = []
+    for n in range(rng.randint(1, 5)):
+        captions = []
+        for _ in range(rng.randint(1, 4)):
+            toks = rng.choices(vocab, k=rng.randint(1, 6))
+            if rng.random() < 0.5:  # plant a merge bigram
+                at = rng.randrange(len(toks))
+                toks[at : at + 2] = rng.choice(patterns)[0]
+            text = "..." if rng.random() < 0.05 else " ".join(toks)
+            if texts and rng.random() < 0.2:  # a duplicate, possibly from another record
+                text = rng.choice(texts)
+            texts.append(text)
+            captions.append(text.capitalize() + rng.choice(["", ".", " !"]))
+        documents[f"i{n}"] = captions
+    rules = CorrectionRules(frozenset(dictionary), tuple(patterns), overrides)
+    return corpus_from_documents(documents, "t"), rules
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_correct_matches_rule_by_rule_oracle(prune):
+    rng = random.Random(29 + prune)
+    for _ in range(200):
+        corpus, rules = _random_correction_case(rng)
+        got = correct(corpus, rules, prune_duplicates=prune)
+        expected = oracle_correct(corpus, rules, prune_duplicates=prune)
+        assert list(jsonl_lines(got)) == list(jsonl_lines(expected))
+        assert got == expected
+
+
+def test_spell_fix_searches_each_type_once(monkeypatch):
+    searched = []
+
+    def counting(token, known, alphabet):
+        searched.append(token)
+        return _nearest_known(token, known, alphabet)
+
+    monkeypatch.setattr(augment, "_nearest_known", counting)
+    documents = {"i1": ["a bulding near teh beach", "a bulding"], "i2": ["A bulding, zzzzqqq zzzzqqq"]}
+    corpus = corpus_from_documents(documents, "t")
+    fixed = correct(corpus, _rules(manual_overrides={"teh": "the"}))
+    assert [c.raw for c in fixed.captions()] == [
+        "a building near the beach", "a building", "a building zzzzqqq zzzzqqq",
+    ]
+    assert sorted(searched) == ["bulding", "zzzzqqq"]
+    rng = random.Random(31)
+    for _ in range(50):
+        searched.clear()
+        corpus, rules = _random_correction_case(rng)
+        correct(corpus, rules)
+        assert len(searched) == len(set(searched))
 
 
 def _bfs_edits(word, alphabet, depth):
@@ -352,6 +435,14 @@ def test_chain_validation():
         TranslationChain(("en",), MockTranslator.identity())  # en..en leg at the start
     legs = TranslationChain(("es", "de", "fr"), MockTranslator.identity()).legs()
     assert legs == [("en", "es"), ("es", "de"), ("de", "fr"), ("fr", "en")]
+
+
+def test_mock_translator_rejects_empty_pattern():
+    # an empty pattern would match at every position without advancing
+    with pytest.raises(ValidationError):
+        MockTranslator({(): ("x",)})
+    with pytest.raises(ValidationError):
+        MockTranslator({"": ()})
 
 
 def test_loaders(tmp_path):

@@ -1,3 +1,5 @@
+import inspect
+
 import captionkit
 
 # The public names are part of the contract: removing or renaming one is a
@@ -60,3 +62,37 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in captionkit.__all__:
         assert getattr(captionkit, name) is not None, name
+
+
+# Parameter lists are part of the contract too: (name, kind, default), with
+# EMPTY for a parameter that has no default.
+EMPTY = inspect.Parameter.empty
+SIGNATURES = {
+    "correct": [
+        ("corpus", "POSITIONAL_OR_KEYWORD", EMPTY),
+        ("rules", "POSITIONAL_OR_KEYWORD", EMPTY),
+        ("prune_duplicates", "POSITIONAL_OR_KEYWORD", False),
+    ],
+    "back_translate": [
+        ("corpus", "POSITIONAL_OR_KEYWORD", EMPTY),
+        ("chain", "POSITIONAL_OR_KEYWORD", EMPTY),
+        ("concurrency", "KEYWORD_ONLY", 1),
+        ("max_retries", "KEYWORD_ONLY", 2),
+        ("backoff", "KEYWORD_ONLY", 0.1),
+    ],
+    "MockTranslator": [
+        ("rules", "POSITIONAL_OR_KEYWORD", None),
+    ],
+    "HttpTranslator": [
+        ("endpoint", "POSITIONAL_OR_KEYWORD", EMPTY),
+        ("api_key", "POSITIONAL_OR_KEYWORD", None),
+        ("timeout", "POSITIONAL_OR_KEYWORD", 10.0),
+        ("session", "POSITIONAL_OR_KEYWORD", None),
+    ],
+}
+
+
+def test_signatures_are_pinned():
+    for name, expected in SIGNATURES.items():
+        params = inspect.signature(getattr(captionkit, name)).parameters.values()
+        assert [(p.name, p.kind.name, p.default) for p in params] == expected, name

@@ -15,6 +15,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     requests_seen = []
     fail_next = 0
+    fail_status = 503
+    raw_reply = None  # when set, answer 200 with these bytes instead
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -22,13 +24,13 @@ class _Handler(BaseHTTPRequestHandler):
         type(self).requests_seen.append(payload)
         if type(self).fail_next > 0:
             type(self).fail_next -= 1
-            self.send_response(503)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         text = payload["q"]
         if payload["target"] == "en":
             text = text.upper()
-        body = json.dumps({"translatedText": text}).encode()
+        body = type(self).raw_reply or json.dumps({"translatedText": text}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -43,8 +45,10 @@ class _Handler(BaseHTTPRequestHandler):
 def server():
     _Handler.requests_seen = []
     _Handler.fail_next = 0
+    _Handler.fail_status = 503
+    _Handler.raw_reply = None
     httpd = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}/translate"
     httpd.shutdown()
@@ -85,6 +89,19 @@ def test_retry_recovers_from_transient_503(server):
     assert [c.raw for c in result.records[0].captions] == ["a beach", "A BEACH"]
 
 
+@pytest.mark.parametrize(
+    "status, attempts", [(400, 1), (401, 1), (404, 1), (408, 3), (429, 3), (500, 3)]
+)
+def test_only_transient_http_failures_are_retried(server, status, attempts):
+    _Handler.fail_next = 10
+    _Handler.fail_status = status
+    corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
+    chain = TranslationChain(("es",), HttpTranslator(server))
+    with pytest.raises(TranslationError, match="every caption"):
+        back_translate(corpus, chain, max_retries=2, backoff=0.0)
+    assert len(_Handler.requests_seen) == attempts
+
+
 def test_unreachable_endpoint():
     translator = HttpTranslator("http://127.0.0.1:1/translate", timeout=0.2)
     with pytest.raises(TranslationError):
@@ -111,3 +128,13 @@ def test_malformed_response_body(tmp_path, server):
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("body", [b"<html>busy</html>", b'{"unexpected": "shape"}', b'["a beach"]'])
+def test_malformed_response_body_is_not_retried(server, body):
+    _Handler.raw_reply = body
+    corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
+    chain = TranslationChain(("es",), HttpTranslator(server))
+    with pytest.raises(TranslationError, match="every caption"):
+        back_translate(corpus, chain, max_retries=2, backoff=0.0)
+    assert len(_Handler.requests_seen) == 1
