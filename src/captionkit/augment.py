@@ -236,9 +236,11 @@ def back_translate(
     Only transient translation failures are retried, with exponential backoff.
     A caption whose round-trip fails is logged and kept without a variant; if
     every caption fails the whole operation errors. Requests run on a pool of
-    ``concurrency`` worker threads (``ValueError`` below one); output order
-    always follows input order.
+    ``concurrency`` worker threads (``ValueError`` below one, as for a negative
+    ``max_retries``); output order always follows input order.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     captions = list(corpus.captions())
 
     def roundtrip(cap: Caption) -> str | None:

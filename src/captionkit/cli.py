@@ -44,20 +44,6 @@ CAPTIONS_SCHEMA = (
 LABELS_SCHEMA = 'labels jsonl: {"image_id": str, "scene": str, "objects": [str, ...]}'
 PREDICTIONS_SCHEMA = 'predictions jsonl: {"image_id": str, "caption": str}'
 
-TABLE_ROWS = [
-    ("Characters", "characters", "{:,}"),
-    ("Words", "words", "{:,}"),
-    ("Unique Words", "unique_words", "{:,}"),
-    ("Complex Word %", "complex_pct", "{:.2f}"),
-    ("Avg. Syllables / Word", "syllables_per_word", "{:.2f}"),
-    ("Sentences", "sentences", "{:,}"),
-    ("Avg. Words / Sentence", "words_per_sentence", "{:.2f}"),
-    ("Fog grade level", "fog", "{:.2f}"),
-    ("Flesch reading ease", "flesch", "{:.2f}"),
-    ("Flesch-Kincaid level", "fk", "{:.2f}"),
-]
-
-
 def _emit(output: dict | Iterable[str], out: str | None) -> None:
     """Write a JSON report (a dict) or text chunks to stdout, or atomically to ``out``."""
     if isinstance(output, dict):
@@ -111,20 +97,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _format_table(columns: list[tuple[str, read_mod.ReadabilityReport]]) -> str:
-    label_width = max(len(label) for label, _, _ in TABLE_ROWS)
-    headers = [name for name, _ in columns]
-    widths = [max(len(name), 14) for name in headers]
-    lines = [
-        "  ".join(
-            [" " * label_width] + [name.rjust(w) for name, w in zip(headers, widths)]
-        ).rstrip()
-    ]
-    for label, attr, fmt in TABLE_ROWS:
-        cells = [fmt.format(getattr(report, attr)) for _, report in columns]
-        lines.append(
-            "  ".join([label.ljust(label_width)] + [c.rjust(w) for c, w in zip(cells, widths)])
-        )
-    return "\n".join(lines) + "\n"
+    label_width = max(len(label) for _, _, label, _ in read_mod.PANEL)
+    widths = [max(len(name), 14) for name, _ in columns]
+
+    def row(label: str, cells: list[str]) -> str:
+        padded = [label.ljust(label_width)] + [c.rjust(w) for c, w in zip(cells, widths)]
+        return "  ".join(padded).rstrip() + "\n"
+
+    return row("", [name for name, _ in columns]) + "".join(
+        row(label, [fmt.format(getattr(report, attr)) for _, report in columns])
+        for attr, _, label, fmt in read_mod.PANEL
+    )
 
 
 def cmd_readability(args: argparse.Namespace) -> int:
@@ -149,11 +132,11 @@ def cmd_bleu(args: argparse.Namespace) -> int:
     if len(per_image) < len(predictions):
         print(f"warning: {len(predictions) - len(per_image)} predictions skipped: {len(missing)} ids "
               "missing from references, the rest without tokens", file=sys.stderr)
+    report = overall.to_dict()
     if args.per_image:
-        fields = ["bleu1", "bleu2", "bleu3", "bleu4", "p1", "p2", "p3", "p4", "bp", "c", "r"]
-        rows = ([image_id, *map(result.to_dict().get, fields)] for image_id, result in per_image)
-        write_csv(args.per_image, ["image_id", *fields], rows)
-    _emit(overall.to_dict(), args.out)
+        rows = ([image_id, *result.to_dict().values()] for image_id, result in per_image)
+        write_csv(args.per_image, ["image_id", *report], rows)
+    _emit(report, args.out)
     return 0
 
 
@@ -317,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = idx_sub.add_parser("build", help="index a corpus (or predictions) for keyword search",
                            description=f"Input schemas -- {CAPTIONS_SCHEMA}; or {PREDICTIONS_SCHEMA}")
-    q.add_argument("--captions", help="caption corpus to index")
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--captions", help="caption corpus to index")
+    source.add_argument("--predictions", help="index generated captions instead of a corpus")
     q.add_argument("--format", choices=CAPTION_FORMATS, default="jsonl")
-    q.add_argument("--predictions", help="index generated captions instead of a corpus")
     q.add_argument("--out", required=True, help="index JSON path")
     q.set_defaults(handler=cmd_index)
 
@@ -337,9 +321,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "index" and args.action == "build" and not (args.captions or args.predictions):
-        print("error: index build needs --captions or --predictions", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except (CaptionKitError, ValueError, OSError) as exc:

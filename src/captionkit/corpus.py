@@ -15,12 +15,15 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .exceptions import FormatError, ValidationError
 
 CAPTION_FORMATS = ("rsicd_json", "jsonl")
+
+_T = TypeVar("_T")
 
 _SPLIT_ALIASES = {
     "train": "train",
@@ -147,20 +150,25 @@ def _map_split(value: object) -> Split:
     return Split(_SPLIT_ALIASES.get(value.strip().lower(), "unassigned"))
 
 
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, line) for each non-blank line of a UTF-8 text file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
 def read_rows(path: str | Path, ncols: int = 1, shape: str = "") -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, stripped lower-cased cells) for each non-blank line.
 
     Lines split on tabs into exactly ``ncols`` cells, else ``FormatError`` names
     the line and the expected ``shape``; one column keeps the whole line.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = line.split("\t") if ncols > 1 else [line]
-            if len(cells) != ncols:
-                raise FormatError(f"{path}: line {lineno}: expected '{shape}'")
-            yield lineno, [cell.strip().lower() for cell in cells]
+    for lineno, line in _lines(path):
+        cells = line.split("\t") if ncols > 1 else [line]
+        if len(cells) != ncols:
+            raise FormatError(f"{path}: line {lineno}: expected '{shape}'")
+        yield lineno, [cell.strip().lower() for cell in cells]
 
 
 @contextmanager
@@ -207,21 +215,14 @@ def read_json(path: str | Path) -> object:
             raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def _jsonl_objects(path: Path) -> Iterator[tuple[str, dict]]:
-    """Yield (location, object) for each non-blank line; blank lines skipped."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(
-                    f"{path}: line {lineno}, column {exc.colno}: {exc.msg}"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{path}: line {lineno}: expected a JSON object")
-            yield f"{path}: line {lineno}", obj
+def _jsonl_values(path: Path) -> Iterator[tuple[str, object]]:
+    """Yield (location, parsed value) for each non-blank line."""
+    for lineno, line in _lines(path):
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: line {lineno}, column {exc.colno}: {exc.msg}") from exc
+        yield f"{path}: line {lineno}", value
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -229,6 +230,24 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     if not isinstance(value, str) or not value.strip():
         raise ValidationError(f"{where}: missing or empty {key!r} field")
     return value
+
+
+def _by_id(entries: Iterable, id_key: str, build: Callable[[dict, str, str], _T]) -> dict[str, _T]:
+    """Key each (location, JSON object) entry by its lower-cased ``id_key``, in file order.
+
+    ``build(obj, image_id, where)`` makes the item. The first fault raises, naming its
+    location: a non-object, a missing id, what ``build`` rejects, or a repeated id.
+    """
+    items: dict[str, _T] = {}
+    for where, obj in entries:
+        if not isinstance(obj, dict):
+            raise FormatError(f"{where}: expected a JSON object")
+        image_id = _require_str(obj, id_key, where).strip().lower()
+        item = build(obj, image_id, where)
+        if image_id in items:
+            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
+        items[image_id] = item
+    return items
 
 
 def _sentence_raw(sentence: object, where: str) -> object:
@@ -244,11 +263,8 @@ _RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[object, str], object]]]
 }
 
 
-def _record(obj: object, where: str, format: str) -> ImageRecord:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object")
-    id_key, list_key, scene_key, text_of = _RECORD_FIELDS[format]
-    image_id = _require_str(obj, id_key, where).strip().lower()
+def _record(obj: dict, image_id: str, where: str, format: str) -> ImageRecord:
+    _, list_key, scene_key, text_of = _RECORD_FIELDS[format]
     items = obj.get(list_key)
     if not isinstance(items, list) or not items:
         raise ValidationError(f"{where}: missing or empty {list_key!r} list")
@@ -276,7 +292,8 @@ def ingest_captions(
     """Load a caption corpus from ``rsicd_json`` or ``jsonl`` (see README schemas).
 
     Records keep file order; ids are lower-cased and must be unique; every
-    caption must be non-empty. Unknown fields are ignored.
+    caption must be non-empty. Unknown fields are ignored. The first faulty
+    entry in file order raises, naming its ``line N`` or ``images[i]``.
     """
     path = Path(path)
     if format not in CAPTION_FORMATS:
@@ -288,14 +305,9 @@ def ingest_captions(
             raise FormatError(f"{path}: expected a top-level object with an 'images' list")
         entries = ((f"{path}: images[{i}]", entry) for i, entry in enumerate(images))
     else:
-        entries = _jsonl_objects(path)
-    records = [_record(obj, where, format) for where, obj in entries]
-    seen: set[str] = set()
-    for record in records:
-        if record.image_id in seen:
-            raise ValidationError(f"{path}: duplicate image_id {record.image_id!r}")
-        seen.add(record.image_id)
-    return Corpus(tuple(records), provenance if provenance is not None else path.stem)
+        entries = _jsonl_values(path)
+    records = _by_id(entries, _RECORD_FIELDS[format][0], partial(_record, format=format))
+    return Corpus(tuple(records.values()), provenance if provenance is not None else path.stem)
 
 
 def jsonl_lines(corpus: Corpus) -> Iterator[str]:
@@ -316,38 +328,35 @@ def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:
         fh.writelines(jsonl_lines(corpus))
 
 
+def _label(obj: dict, image_id: str, where: str) -> LabelRecord:
+    scene = _require_str(obj, "scene", where).strip().lower()
+    raw_objects = obj.get("objects", [])
+    if not isinstance(raw_objects, list):
+        raise FormatError(f"{where}: 'objects' must be a list")
+    objects = frozenset(
+        name.strip().lower() for name in raw_objects if isinstance(name, str) and name.strip()
+    )
+    return LabelRecord(image_id, scene, objects)
+
+
 def ingest_labels(path: str | Path) -> tuple[LabelRecord, ...]:
-    """Load detection labels (JSONL: image_id, scene, objects)."""
-    path = Path(path)
-    labels = []
-    seen: set[str] = set()
-    for where, obj in _jsonl_objects(path):
-        image_id = _require_str(obj, "image_id", where).strip().lower()
-        scene = _require_str(obj, "scene", where).strip().lower()
-        raw_objects = obj.get("objects", [])
-        if not isinstance(raw_objects, list):
-            raise FormatError(f"{where}: 'objects' must be a list")
-        objects = frozenset(
-            name.strip().lower() for name in raw_objects if isinstance(name, str) and name.strip()
-        )
-        if image_id in seen:
-            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        labels.append(LabelRecord(image_id, scene, objects))
-    return tuple(labels)
+    """Load detection labels (JSONL: image_id, scene, objects); ids are lower-cased and unique.
+
+    The first faulty line in file order raises, naming its ``line N``.
+    """
+    return tuple(_by_id(_jsonl_values(Path(path)), "image_id", _label).values())
 
 
 def ingest_predictions(path: str | Path) -> PredictionSet:
-    """Load generated captions (JSONL: image_id, caption). Empty file is valid."""
-    path = Path(path)
-    entries: dict[str, str] = {}
-    for where, obj in _jsonl_objects(path):
-        image_id = _require_str(obj, "image_id", where).strip().lower()
-        caption = _require_str(obj, "caption", where)
-        if image_id in entries:
-            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
-        entries[image_id] = caption
-    return PredictionSet(entries)
+    """Load generated captions (JSONL: image_id, caption); ids are lower-cased and unique.
+
+    An empty file is valid. The first faulty line in file order raises, naming its ``line N``.
+    """
+
+    def caption(obj: dict, image_id: str, where: str) -> str:
+        return _require_str(obj, "caption", where)
+
+    return PredictionSet(_by_id(_jsonl_values(Path(path)), "image_id", caption))
 
 
 def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:

@@ -80,5 +80,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     for token, ids in sorted(postings_raw.items()):
         if not isinstance(ids, list) or any(not isinstance(i, str) for i in ids):
             raise FormatError(f"{path}: postings for {token!r} are not a string list")
+        if any(a >= b for a, b in zip(ids, ids[1:])) or len(ids) > doc_count:
+            raise FormatError(f"{path}: postings for {token!r} are not sorted, unique and <= doc_count")
         postings[token] = tuple(ids)
     return InvertedIndex(postings=postings, doc_count=doc_count)

@@ -41,6 +41,21 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
+# One row per panel field: report attribute, JSON key, table label, table format.
+PANEL = (
+    ("characters", "characters", "Characters", "{:,}"),
+    ("words", "words", "Words", "{:,}"),
+    ("unique_words", "unique_words", "Unique Words", "{:,}"),
+    ("complex_pct", "complex_word_pct", "Complex Word %", "{:.2f}"),
+    ("syllables_per_word", "avg_syllables_per_word", "Avg. Syllables / Word", "{:.2f}"),
+    ("sentences", "sentences", "Sentences", "{:,}"),
+    ("words_per_sentence", "avg_words_per_sentence", "Avg. Words / Sentence", "{:.2f}"),
+    ("fog", "fog_grade_level", "Fog grade level", "{:.2f}"),
+    ("flesch", "flesch_reading_ease", "Flesch reading ease", "{:.2f}"),
+    ("fk", "flesch_kincaid_grade", "Flesch-Kincaid level", "{:.2f}"),
+)
+
+
 class IndexScores(NamedTuple):
     fog: float
     flesch: float
@@ -63,18 +78,7 @@ class ReadabilityReport:
     fk: float
 
     def to_dict(self) -> dict:
-        return {
-            "characters": self.characters,
-            "words": self.words,
-            "unique_words": self.unique_words,
-            "complex_word_pct": self.complex_pct,
-            "avg_syllables_per_word": self.syllables_per_word,
-            "sentences": self.sentences,
-            "avg_words_per_sentence": self.words_per_sentence,
-            "fog_grade_level": self.fog,
-            "flesch_reading_ease": self.flesch,
-            "flesch_kincaid_grade": self.fk,
-        }
+        return {key: getattr(self, attr) for attr, key, _, _ in PANEL}
 
 
 def report_from_aggregates(

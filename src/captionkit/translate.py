@@ -58,15 +58,16 @@ DEFAULT_MOCK_RULES: dict[tuple[str, ...], tuple[str, ...]] = {
 class MockTranslator:
     """Offline stand-in: rewrites token patterns, ignores language codes.
 
-    ``rules`` maps a lower-case token pattern to its replacement tokens (empty
-    tuple drops the pattern). With no rules this is the identity translator.
+    ``rules`` maps a non-empty lower-case token pattern (else ``ValidationError``)
+    to its replacement tokens; an empty replacement drops the pattern. With no
+    rules this is the identity translator.
     """
 
     def __init__(self, rules: Mapping[Sequence[str], Sequence[str]] | None = None):
         source = DEFAULT_MOCK_RULES if rules is None else rules
         self._rules = {tuple(pat): tuple(rep) for pat, rep in source.items()}
-        if () in self._rules:
-            raise ValidationError("mock translator pattern must not be empty")
+        if any(not pat or any(word != word.lower() for word in pat) for pat in self._rules):
+            raise ValidationError("mock translator patterns must be non-empty and lower-case")
         # longest pattern first so "next to" wins over any single-word rule
         self._patterns = sorted(self._rules, key=lambda pat: (-len(pat), pat))
 

@@ -416,6 +416,15 @@ def test_back_translate_total_failure_raises():
         back_translate(corpus, chain, max_retries=0, backoff=0.0)
 
 
+def test_back_translate_rejects_negative_retries():
+    # range(max_retries + 1) would be empty: no request at all, every caption unchanged
+    corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
+    translator = _FlakyTranslator(failures=0)
+    with pytest.raises(ValueError, match="max_retries"):
+        back_translate(corpus, TranslationChain(("es",), translator), max_retries=-1)
+    assert translator.calls == 0
+
+
 def test_back_translate_concurrent_matches_serial():
     corpus = corpus_from_documents(
         {f"i{n}": [f"several green trees number {n}", "beside a beach"] for n in range(5)}, "t"
@@ -443,6 +452,16 @@ def test_mock_translator_rejects_empty_pattern():
         MockTranslator({(): ("x",)})
     with pytest.raises(ValidationError):
         MockTranslator({"": ()})
+
+
+def test_mock_translator_rejects_upper_case_pattern():
+    # windows are lower-cased before the comparison, so such a rule could never fire
+    with pytest.raises(ValidationError, match="lower-case"):
+        MockTranslator({("Beside",): ("near",)})
+    with pytest.raises(ValidationError, match="lower-case"):
+        MockTranslator({("next", "To"): ("with",)})
+    translator = MockTranslator({("beside",): ("near",)})
+    assert translator.translate("a house Beside a beach", "en", "es") == "a house near a beach"
 
 
 def test_loaders(tmp_path):

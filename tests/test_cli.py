@@ -108,6 +108,89 @@ def test_readability_compare_table(corpus_file, tmp_path, capsys):
     assert corpus_file in out
 
 
+PINNED_COMPARE_TABLE = """\
+                         corpus.jsonl       3x5.jsonl
+Characters                        119             478
+Words                              29             110
+Unique Words                       21              59
+Complex Word %                   3.45            2.73
+Avg. Syllables / Word            1.38            1.36
+Sentences                           4              15
+Avg. Words / Sentence            7.25            7.33
+Fog grade level                  4.28            4.02
+Flesch reading ease             82.79           84.03
+Flesch-Kincaid level             3.51            3.36
+"""
+
+PINNED_SINGLE_TABLE = """\
+                         corpus.jsonl
+Characters                        119
+Words                              29
+Unique Words                       21
+Complex Word %                   3.45
+Avg. Syllables / Word            1.38
+Sentences                           4
+Avg. Words / Sentence            7.25
+Fog grade level                  4.28
+Flesch reading ease             82.79
+Flesch-Kincaid level             3.51
+"""
+
+PINNED_COMPARE_JSON = """\
+{
+  "3x5.jsonl": {
+    "avg_syllables_per_word": 1.3636363636363635,
+    "avg_words_per_sentence": 7.333333333333333,
+    "characters": 478,
+    "complex_word_pct": 2.727272727272727,
+    "flesch_kincaid_grade": 3.3609090909090895,
+    "flesch_reading_ease": 84.02803030303033,
+    "fog_grade_level": 4.024242424242424,
+    "sentences": 15,
+    "unique_words": 59,
+    "words": 110
+  },
+  "corpus.jsonl": {
+    "avg_syllables_per_word": 1.3793103448275863,
+    "avg_words_per_sentence": 7.25,
+    "characters": 119,
+    "complex_word_pct": 3.4482758620689653,
+    "flesch_kincaid_grade": 3.5133620689655203,
+    "flesch_reading_ease": 82.78659482758623,
+    "fog_grade_level": 4.279310344827586,
+    "sentences": 4,
+    "unique_words": 21,
+    "words": 29
+  }
+}
+"""
+
+
+def test_readability_outputs_pinned(corpus_file, data_dir, tmp_path, monkeypatch, capsys):
+    # relative paths, so the column headers and widths do not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "3x5.jsonl").write_bytes((data_dir / "captions_3x5.jsonl").read_bytes())
+    assert run(["readability", "--captions", "corpus.jsonl", "--compare", "3x5.jsonl",
+                "--out", "cmp.json"]) == 0
+    assert capsys.readouterr().out == PINNED_COMPARE_TABLE
+    assert (tmp_path / "cmp.json").read_bytes() == PINNED_COMPARE_JSON.encode()
+    assert run(["readability", "--captions", "corpus.jsonl", "--table"]) == 0
+    assert capsys.readouterr().out == PINNED_SINGLE_TABLE
+
+
+def test_bleu_per_image_csv_pinned(data_dir, tmp_path, capsys):
+    per_image = tmp_path / "per_image.csv"
+    assert run(["bleu", "--predictions", str(data_dir / "predictions_3.jsonl"),
+                "--references", str(data_dir / "captions_3x5.jsonl"),
+                "--per-image", str(per_image)]) == 0
+    assert per_image.read_bytes() == (
+        b"image_id,bleu1,bleu2,bleu3,bleu4,p1,p2,p3,p4,bp,c,r\r\n"
+        b"airport_1.jpg,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,7,7\r\n"
+        b"beach_2.jpg,0.875,0.6123724356957945,0.0,0.0,0.875,0.42857142857142855,0.0,0.0,1.0,8,8\r\n"
+        b"river_3.jpg,0.75,0.5669467095138409,0.0,0.0,0.75,0.42857142857142855,0.0,0.0,1.0,8,8\r\n"
+    )
+
+
 def test_bleu_cli(tmp_path, corpus_file, capsys):
     preds = write_jsonl(tmp_path / "preds.jsonl", [
         {"image_id": "i1", "caption": "Many planes are parked in an airport."},
@@ -214,6 +297,20 @@ def test_index_build_and_query(corpus_file, tmp_path, capsys):
 
 def test_index_build_needs_input(capsys):
     assert run(["index", "build", "--out", "x.json"]) == 2
+
+
+def test_index_build_rejects_both_inputs(corpus_file, data_dir, tmp_path, capsys):
+    idx = tmp_path / "idx.json"
+    assert run(["index", "build", "--captions", corpus_file, "--predictions",
+                str(data_dir / "predictions_3.jsonl"), "--out", str(idx)]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not idx.exists()
+
+
+def test_backtranslate_negative_retries_exits_2(corpus_file, capsys):
+    assert run(["augment", "backtranslate", "--captions", corpus_file, "--mock",
+                "--retries", "-1"]) == 2
+    assert "max_retries" in capsys.readouterr().err
 
 
 def test_help_names_schema(capsys):

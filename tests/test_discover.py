@@ -114,6 +114,30 @@ def test_save_load_roundtrip(tmp_path):
     assert load_index(path) == index
 
 
+def test_random_index_roundtrip(tmp_path):
+    index = build_index(_random_documents(random.Random(5), 200))
+    path = tmp_path / "idx.json"
+    save_index(index, path)
+    assert load_index(path) == index
+
+
+@pytest.mark.parametrize(
+    "doc_count, ids",
+    [
+        (2, ["z", "a"]),  # unsorted
+        (2, ["a", "a"]),  # a repeated id
+        (3, ["z", "a", "a"]),
+        (1, ["a", "b"]),  # more ids than documents
+    ],
+)
+def test_load_rejects_postings_off_invariant(tmp_path, doc_count, ids):
+    path = tmp_path / "idx.json"
+    payload = {"version": INDEX_VERSION, "doc_count": doc_count, "postings": {"ok": ["a"], "beach": ids}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="'beach'"):
+        load_index(path)
+
+
 def test_empty_index_roundtrip(tmp_path):
     index = build_index({})
     path = tmp_path / "idx.json"

@@ -19,7 +19,15 @@ from captionkit.augment import (
     load_thesaurus,
 )
 from captionkit.confusion import load_attributes, load_scene_keywords
-from captionkit.corpus import Caption, Corpus, ImageRecord, Split, ingest_captions
+from captionkit.corpus import (
+    Caption,
+    Corpus,
+    ImageRecord,
+    Split,
+    ingest_captions,
+    ingest_labels,
+    ingest_predictions,
+)
 from captionkit.exceptions import FormatError, ValidationError
 
 WORD_LIST = b"Beach\r\nsea\r\n\r\n  TREES  \n\t\nsea\tside\nsea\n"
@@ -152,6 +160,17 @@ REJECTED = [
      _rsicd({"sentences": [{"tokens": []}]}), ValidationError, "images[0]"),
     ("rsicd-blank-raw-before-bad-sentence", _rsicd_corpus,
      _rsicd({"filename": "b", "sentences": [{"raw": " "}, {"tokens": []}]}), ValidationError, "images[0]"),
+    # A repeated id is reported where it repeats, before any later fault.
+    ("labels-duplicate-id", ingest_labels,
+     _jsonl({"image_id": "a", "scene": "beach"}, {"image_id": " A ", "scene": "port"}),
+     ValidationError, "line 2"),
+    ("predictions-duplicate-id", ingest_predictions,
+     _jsonl({"image_id": "a", "caption": "x"}, {"image_id": "A", "caption": "y"}),
+     ValidationError, "line 2"),
+    ("rsicd-duplicate-id", _rsicd_corpus, _rsicd(OK_IMAGE, {"filename": "A", "sentences": [{"raw": "y"}]}),
+     ValidationError, "images[1]"),
+    ("jsonl-duplicate-before-bad-json", _jsonl_corpus, _jsonl(OK_LINE, OK_LINE, b"{broken"),
+     ValidationError, "line 2"),
 ]
 
 

@@ -140,7 +140,7 @@ def test_multi_sentence_caption_counted():
 
 def test_to_dict_row_names(small_corpus):
     d = report(small_corpus).to_dict()
-    assert set(d) == {
+    assert list(d) == [  # names and order
         "characters",
         "words",
         "unique_words",
@@ -151,7 +151,7 @@ def test_to_dict_row_names(small_corpus):
         "fog_grade_level",
         "flesch_reading_ease",
         "flesch_kincaid_grade",
-    }
+    ]
 
 
 def _per_occurrence_report(corpus):
