@@ -98,24 +98,66 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
     })
 
 
-def _edits1(word: str, alphabet: Sequence[str]) -> set[str]:
-    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
-    deletes = [left + right[1:] for left, right in splits if right]
-    transposes = [left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1]
-    replaces = [left + ch + right[1:] for left, right in splits if right for ch in alphabet]
-    inserts = [left + ch + right for left, right in splits for ch in alphabet]
-    return set(deletes + transposes + replaces + inserts)
+def _deletes(word: str) -> set[str]:
+    """``word`` and every string left by deleting one or two of its characters."""
+    n = len(word)
+    out = {word}
+    out.update(word[:i] + word[i + 1 :] for i in range(n))
+    out.update(word[:i] + word[i + 1 : j] + word[j + 1 :] for i in range(n) for j in range(i + 1, n))
+    return out
 
 
-def _nearest_known(token: str, known: frozenset[str], alphabet: Sequence[str]) -> set[str]:
-    one_away = _edits1(token, alphabet)
-    hits = (one_away & known) - {token}
-    if hits:
-        return hits
-    hits = set()
-    for edited in one_away:
-        hits.update(word for word in _edits1(edited, alphabet) if word in known)
-    return hits - {token}
+def _damerau(a: str, b: str) -> int:
+    """Unrestricted Damerau-Levenshtein distance (Lowrance-Wagner).
+
+    Unlike optimal string alignment, a transposed pair may be edited again:
+    ``ab`` -> ``ba`` -> ``bca`` is distance 2, not 3.
+    """
+    inf = len(a) + len(b)
+    rows = [[inf] * (len(b) + 2)]
+    rows += [[inf, i] + [0] * len(b) for i in range(len(a) + 1)]
+    rows[1][1:] = range(len(b) + 1)
+    last_row: dict[str, int] = {}  # char -> last row of ``a`` holding it
+    for i in range(1, len(a) + 1):
+        last_col = 0  # last column of ``b`` matching a[i - 1]
+        for j in range(1, len(b) + 1):
+            k, m = last_row.get(b[j - 1], 0), last_col
+            cost = a[i - 1] != b[j - 1]
+            if not cost:
+                last_col = j
+            rows[i + 1][j + 1] = min(
+                rows[i][j] + cost,
+                rows[i + 1][j] + 1,
+                rows[i][j + 1] + 1,
+                rows[k][m] + (i - k - 1) + 1 + (j - m - 1),
+            )
+        last_row[a[i - 1]] = i
+    return rows[-1][-1]
+
+
+def _nearest_known_all(queries: Sequence[str], known: frozenset[str]) -> dict[str, set[str]]:
+    """Each query's known words at the smallest distance, 1 or 2 (else empty).
+
+    Symmetric delete (Garbe's SymSpell): two words within distance 2 share a
+    string left by deleting at most two characters from each, so only known
+    words whose deletes meet a query's are verified. The few queries are
+    indexed, not the dictionary, which keeps the index small.
+    """
+    by_delete: dict[str, list[str]] = {}
+    for query in queries:
+        for deleted in _deletes(query):
+            by_delete.setdefault(deleted, []).append(query)
+    candidates: dict[str, set[str]] = {query: set() for query in queries}
+    for word in known:
+        for deleted in _deletes(word):
+            for query in by_delete.get(deleted, ()):
+                candidates[query].add(word)
+    nearest = {}
+    for query, words in candidates.items():
+        distance = {word: _damerau(query, word) for word in words}
+        one = {word for word, d in distance.items() if d == 1}
+        nearest[query] = one or {word for word, d in distance.items() if d == 2}
+    return nearest
 
 
 def _apply_merges(tokens: tuple[str, ...], merges: Mapping[tuple[str, str], str]) -> list[str]:
@@ -137,9 +179,13 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
 
     The first merge rule listed for a bigram wins; overrides beat the
     spell-fix, which replaces each out-of-dictionary token type, once per run,
-    by the nearest accepted word within edit distance 2 (one or two
-    single-character deletes/inserts/replaces or adjacent transposes), ties
-    broken by higher corpus frequency then lexicographically. Tokens of one or
+    by the nearest accepted word within unrestricted Damerau-Levenshtein
+    distance 2 (one or two single-character deletes/inserts/replaces or
+    adjacent transposes, a transposed pair editable again), a distance-1 word
+    before any distance-2 word, ties broken by higher corpus frequency then
+    lexicographically. The search indexes the up-to-two-character deletes of
+    those types (not of the dictionary), streams each accepted word's deletes
+    through that index and verifies every candidate exactly. Tokens of one or
     two characters and pure digit tokens are exempt from fuzzy substitution;
     merge rules and overrides still apply to them. Pruning keeps the first
     occurrence of each normalized caption corpus-wide; a record whose
@@ -151,13 +197,12 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     merges = dict(reversed(rules.merge_patterns))  # the first rule listed for a bigram wins
     merged_tokens = (merged for _, merged in rules.merge_patterns)
     known = rules.dictionary.union(merged_tokens, rules.manual_overrides.values())
-    alphabet = sorted({ch for word in known for ch in word})
-    # a token reaching the fix step is a corpus type or a (known) merged token
+    firsts = {first for first, _ in merges}
     fixes = dict(rules.manual_overrides)
-    for token in corpus_freq:
-        if token in known or token in fixes or len(token) <= 2 or token.isdigit():
-            continue
-        candidates = _nearest_known(token, known, alphabet)
+    # a token reaching the fix step is a corpus type or a (known) merged token
+    queries = [tok for tok in corpus_freq
+               if not (tok in known or tok in fixes or len(tok) <= 2 or tok.isdigit())]
+    for token, candidates in _nearest_known_all(queries, known).items():
         if candidates:
             fixes[token] = min(candidates, key=lambda w: (-corpus_freq[w], w))
         else:
@@ -168,7 +213,9 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     for record in corpus.records:
         captions_out = []
         for cap in record.captions:
-            toks = _apply_merges(tokenize(cap.raw).tokens, merges)
+            toks = tokenize(cap.raw).tokens
+            if not firsts.isdisjoint(toks):
+                toks = _apply_merges(toks, merges)
             norm = " ".join([fixes.get(tok, tok) for tok in toks])
             if prune_duplicates:
                 if norm in seen_norms:

@@ -32,7 +32,7 @@ from .corpus import (
     validate,
     write_csv,
 )
-from .exceptions import CaptionKitError, ConfigurationError
+from .exceptions import CaptionKitError, ConfigurationError, DegenerateInputError
 from .translate import HttpTranslator, MockTranslator, TranslationChain
 
 API_KEY_ENV = "CAPTIONKIT_TRANSLATE_API_KEY"
@@ -129,9 +129,11 @@ def cmd_bleu(args: argparse.Namespace) -> int:
     predictions = ingest_predictions(args.predictions)
     references = ingest_captions(args.references, args.references_format)
     overall, per_image, missing = bleu_mod.score_predictions(predictions, references)
+    reason = f"{len(missing)} ids missing from references, the rest without tokens"
+    if not per_image:
+        raise DegenerateInputError(f"no prediction could be scored: {reason}")
     if len(per_image) < len(predictions):
-        print(f"warning: {len(predictions) - len(per_image)} predictions skipped: {len(missing)} ids "
-              "missing from references, the rest without tokens", file=sys.stderr)
+        print(f"warning: {len(predictions) - len(per_image)} predictions skipped: {reason}", file=sys.stderr)
     report = overall.to_dict()
     if args.per_image:
         rows = ([image_id, *result.to_dict().values()] for image_id, result in per_image)

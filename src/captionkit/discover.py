@@ -74,8 +74,10 @@ def load_index(path: str | Path) -> InvertedIndex:
         )
     postings_raw = payload.get("postings")
     doc_count = payload.get("doc_count")
-    if not isinstance(postings_raw, dict) or not isinstance(doc_count, int):
+    if not isinstance(postings_raw, dict):
         raise FormatError(f"{path}: malformed index payload")
+    if isinstance(doc_count, bool) or not isinstance(doc_count, int) or doc_count < 0:
+        raise FormatError(f"{path}: doc_count must be a non-negative integer, got {doc_count!r}")
     postings = {}
     for token, ids in sorted(postings_raw.items()):
         if not isinstance(ids, list) or any(not isinstance(i, str) for i in ids):

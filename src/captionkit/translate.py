@@ -8,6 +8,7 @@ run without network access.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
@@ -93,7 +94,11 @@ class MockTranslator:
 
 
 class HttpTranslator:
-    """Client for a remote translation endpoint (LibreTranslate-style JSON)."""
+    """Client for a remote translation endpoint (LibreTranslate-style JSON).
+
+    Every thread shares ``session`` when one is given; otherwise each thread
+    that calls ``translate`` opens its own ``requests.Session``.
+    """
 
     def __init__(
         self,
@@ -105,14 +110,23 @@ class HttpTranslator:
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._shared_session = session
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        # requests does not document Session as thread-safe
+        if self._shared_session is not None:
+            return self._shared_session
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
 
     def translate(self, text: str, src: str, dst: str) -> str:
         payload = {"q": text, "source": src, "target": dst}
         if self.api_key:
             payload["api_key"] = self.api_key
         try:
-            response = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
+            response = self._session().post(self.endpoint, json=payload, timeout=self.timeout)
             response.raise_for_status()
         except requests.RequestException as exc:
             status = getattr(exc.response, "status_code", 0)

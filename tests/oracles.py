@@ -3,15 +3,15 @@
 These deliberately avoid Counter/dict tricks: n-grams are materialized as
 lists and counted by scanning, so they share no code path with the library.
 The exception is ``oracle_correct``, the earlier rewrite path of
-``augment.correct``: it reuses the library's tokenizer and nearest-word
-search and differs in how it applies the rules.
+``augment.correct``: it reuses the library's tokenizer and differs in how it
+applies the rules and in its nearest-word search, ``_nearest_known``, which
+enumerates every string within two ``_edits1`` steps of the token.
 """
 
 import math
 from collections import Counter
 from dataclasses import replace
 
-from captionkit.augment import _nearest_known
 from captionkit.corpus import Caption, Corpus
 from captionkit.tokens import tokenize
 
@@ -119,6 +119,27 @@ def oracle_tokens(text):
         if start < end:
             tokens.append(chunk[start:end])
     return tuple(tokens)
+
+
+def _edits1(word, alphabet):
+    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
+    deletes = [left + right[1:] for left, right in splits if right]
+    transposes = [left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1]
+    replaces = [left + ch + right[1:] for left, right in splits if right for ch in alphabet]
+    inserts = [left + ch + right for left, right in splits for ch in alphabet]
+    return set(deletes + transposes + replaces + inserts)
+
+
+def _nearest_known(token, known, alphabet):
+    """Known words one ``_edits1`` step from ``token``, else those two steps away."""
+    one_away = _edits1(token, alphabet)
+    hits = (one_away & known) - {token}
+    if hits:
+        return hits
+    hits = set()
+    for edited in one_away:
+        hits.update(word for word in _edits1(edited, alphabet) if word in known)
+    return hits - {token}
 
 
 def _scan_merges(tokens, patterns):

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from captionkit import augment
 from captionkit.augment import (
     CorrectionRules,
     Thesaurus,
-    _nearest_known,
+    _nearest_known_all,
     back_translate,
     correct,
     load_dictionary,
@@ -18,7 +20,7 @@ from captionkit.corpus import corpus_from_documents, jsonl_lines, validate
 from captionkit.exceptions import ConfigurationError, TranslationError, ValidationError
 from captionkit.tokens import tokenize
 from captionkit.translate import MockTranslator, TranslationChain
-from oracles import oracle_correct
+from oracles import _nearest_known, oracle_correct
 
 BASIC_DICT = frozenset(
     "a an the building buildings beach sea many planes are parked in airport "
@@ -216,11 +218,11 @@ def test_correct_matches_rule_by_rule_oracle(prune):
 def test_spell_fix_searches_each_type_once(monkeypatch):
     searched = []
 
-    def counting(token, known, alphabet):
-        searched.append(token)
-        return _nearest_known(token, known, alphabet)
+    def counting(queries, known):
+        searched.extend(queries)
+        return _nearest_known_all(queries, known)
 
-    monkeypatch.setattr(augment, "_nearest_known", counting)
+    monkeypatch.setattr(augment, "_nearest_known_all", counting)
     documents = {"i1": ["a bulding near teh beach", "a bulding"], "i2": ["A bulding, zzzzqqq zzzzqqq"]}
     corpus = corpus_from_documents(documents, "t")
     fixed = correct(corpus, _rules(manual_overrides={"teh": "the"}))
@@ -277,6 +279,68 @@ def test_nearest_known_matches_bfs_oracle():
         two = (_bfs_edits(token, alphabet, 2) & dictionary) - {token}
         expected = one if one else two
         assert got == expected
+
+
+_EDIT = st.tuples(
+    st.sampled_from(["delete", "insert", "replace", "transpose"]),
+    st.integers(0, 7),
+    st.sampled_from("abcxy"),  # x and y are outside the dictionary's alphabet
+)
+
+
+def _apply_edit(word, edit):
+    op, i, ch = edit
+    i = min(i, len(word))
+    if op == "insert":
+        return word[:i] + ch + word[i:]
+    if op == "replace" and i < len(word):
+        return word[:i] + ch + word[i + 1 :]
+    if op == "delete" and i < len(word):
+        return word[:i] + word[i + 1 :]
+    if op == "transpose" and i + 1 < len(word):
+        return word[:i] + word[i + 1] + word[i] + word[i + 2 :]
+    return word
+
+
+@st.composite
+def _dictionary_and_typos(draw):
+    """Words over "abc", and each word after one to three edits at positions
+    that often touch, so transposes meet the other edits."""
+    words = draw(st.lists(st.text("abc", min_size=1, max_size=6), min_size=1, max_size=8, unique=True))
+    typos = []
+    for word in words:
+        for edit in draw(st.lists(_EDIT, min_size=1, max_size=3)):
+            word = _apply_edit(word, edit)
+        typos.append(word)
+    return frozenset(words), list(dict.fromkeys(typos))
+
+
+@given(_dictionary_and_typos())
+@example((frozenset({"abc", "cab"}), ["bac", "acb", "xabc", "cba"]))
+def test_symmetric_delete_search_matches_edit_enumeration(case):
+    dictionary, typos = case
+    alphabet = sorted({ch for word in dictionary for ch in word})
+    got = _nearest_known_all(typos, dictionary)
+    assert got == {typo: _nearest_known(typo, dictionary, alphabet) for typo in typos}
+
+
+def test_transpose_then_insert_is_distance_two():
+    # ab -> ba -> bca is two edits; optimal string alignment says 3
+    assert _nearest_known_all(["bca"], frozenset({"ab"})) == {"bca": {"ab"}}
+    corpus = corpus_from_documents({"i1": ["bca ab"]}, "t")
+    assert correct(corpus, CorrectionRules(frozenset({"ab"}))).records[0].captions[0].raw == "ab ab"
+
+
+@given(_dictionary_and_typos(), st.data())
+def test_correct_matches_oracle_on_random_typos(case, data):
+    dictionary, typos = case
+    vocab = sorted(dictionary) + [typo for typo in typos if typo]
+    caption = st.lists(st.sampled_from(vocab), min_size=1, max_size=5).map(" ".join)
+    captions = st.lists(caption, min_size=1, max_size=3)
+    documents = data.draw(st.dictionaries(st.sampled_from(["i1", "i2", "i3"]), captions, min_size=1))
+    corpus = corpus_from_documents(documents, "t")
+    rules = CorrectionRules(dictionary)
+    assert correct(corpus, rules) == oracle_correct(corpus, rules)
 
 
 def test_synonym_adds_variant():

@@ -399,6 +399,21 @@ def test_bleu_skips_predictions_without_tokens(tmp_path, corpus_file, capsys):
     assert len([line for line in proc.stderr.splitlines() if "skipped" in line]) == 1, proc.stderr
 
 
+def test_bleu_that_scores_nothing_exits_2(tmp_path, corpus_file, capsys):
+    preds = write_jsonl(tmp_path / "preds.jsonl", [
+        {"image_id": "ghost", "caption": "a plane"},
+        {"image_id": "i1", "caption": "..."},
+    ])
+    per_image = tmp_path / "per_image.csv"
+    code = run(["bleu", "--predictions", str(preds), "--references", corpus_file,
+                "--per-image", str(per_image)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no prediction could be scored: 1 ids missing" in captured.err
+    assert not per_image.exists()
+
+
 def test_backtranslate_workers_option(corpus_file, tmp_path, capsys):
     argv = ["augment", "backtranslate", "--captions", corpus_file, "--mock"]
     one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"

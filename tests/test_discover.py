@@ -138,6 +138,15 @@ def test_load_rejects_postings_off_invariant(tmp_path, doc_count, ids):
         load_index(path)
 
 
+@pytest.mark.parametrize("doc_count, postings", [(True, {"ok": ["a"]}), (-1, {})])
+def test_load_rejects_bad_doc_count(tmp_path, doc_count, postings):
+    path = tmp_path / "idx.json"
+    payload = {"version": INDEX_VERSION, "doc_count": doc_count, "postings": postings}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="doc_count"):
+        load_index(path)
+
+
 def test_empty_index_roundtrip(tmp_path):
     index = build_index({})
     path = tmp_path / "idx.json"

@@ -3,6 +3,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from captionkit.augment import back_translate
 from captionkit.corpus import corpus_from_documents
@@ -100,6 +101,27 @@ def test_only_transient_http_failures_are_retried(server, status, attempts):
     with pytest.raises(TranslationError, match="every caption"):
         back_translate(corpus, chain, max_retries=2, backoff=0.0)
     assert len(_Handler.requests_seen) == attempts
+
+
+def test_worker_threads_do_not_share_a_session(server, monkeypatch):
+    used = {}  # thread id -> sessions it posted through
+    both_started = threading.Barrier(2, timeout=5)
+    post = requests.Session.post
+
+    def recording_post(session, *args, **kwargs):
+        if threading.get_ident() not in used:
+            both_started.wait()  # hold the first call until a second thread has one too
+        used.setdefault(threading.get_ident(), []).append(session)
+        return post(session, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", recording_post)
+    corpus = corpus_from_documents({"i1": ["a beach", "a road"], "i2": ["a port"]}, "t")
+    chain = TranslationChain(("es",), HttpTranslator(server))
+    back_translate(corpus, chain, concurrency=2, backoff=0.0)
+    assert len(used) == 2
+    first, second = used.values()
+    assert all(a is not b for a in first for b in second)
+    assert len({id(s) for s in first}) == len({id(s) for s in second}) == 1
 
 
 def test_unreachable_endpoint():
