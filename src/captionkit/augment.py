@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .corpus import Caption, CaptionSource, Corpus, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
-from .tokens import tokenize
+from .tokens import _words
 from .translate import TranslationChain, _PermanentFailure
 
 logger = logging.getLogger(__name__)
@@ -193,7 +193,7 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     """
     if not rules.dictionary:
         raise ConfigurationError("correction rules have an empty dictionary")
-    corpus_freq = Counter(tok for cap in corpus.captions() for tok in tokenize(cap.raw).tokens)
+    corpus_freq = Counter(tok for cap in corpus.captions() for tok in _words(cap.raw))
     merges = dict(reversed(rules.merge_patterns))  # the first rule listed for a bigram wins
     merged_tokens = (merged for _, merged in rules.merge_patterns)
     known = rules.dictionary.union(merged_tokens, rules.manual_overrides.values())
@@ -213,7 +213,9 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     for record in corpus.records:
         captions_out = []
         for cap in record.captions:
-            toks = tokenize(cap.raw).tokens
+            # tokenized again: keeping the frequency pass's tuples would hold about
+            # 41 MiB for an RSICD-size corpus (54,605 captions) until the end
+            toks = _words(cap.raw)
             if not firsts.isdisjoint(toks):
                 toks = _apply_merges(toks, merges)
             norm = " ".join([fixes.get(tok, tok) for tok in toks])
@@ -254,7 +256,7 @@ def synonym_expand(
     for record in corpus.records:
         variants = []
         for cap in record.captions:
-            toks = list(tokenize(cap.raw).tokens)
+            toks = list(_words(cap.raw))
             norm = " ".join(toks)
             if not toks or norm in seen_norms:
                 continue

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .corpus import Corpus, PredictionSet
 from .exceptions import DegenerateInputError
-from .tokens import tokenize
+from .tokens import _words
 
 MAX_ORDER = 4
 
@@ -65,23 +66,30 @@ def _check_shapes(candidates: Sequence[TokenSeq], references: Sequence[Sequence[
             raise ValueError(f"candidate {i} has no references")
 
 
-def _matches(cand: TokenSeq, refs: Sequence[TokenSeq], n: int) -> tuple[int, int]:
-    # each candidate n-gram count is clipped at its maximum count in any one reference
-    counts = ngram_counts(cand, n)
-    max_ref: dict = {}
-    for ref in refs:
-        for gram, count in ngram_counts(ref, n).items():
-            if count > max_ref.get(gram, 0):
-                max_ref[gram] = count
-    return sum(min(count, max_ref.get(gram, 0)) for gram, count in counts.items()), sum(counts.values())
+def _grams(tokens: TokenSeq, max_order: int) -> Counter:
+    """Every n-gram of orders 1..max_order in one multiset; a gram's length is its order."""
+    shifted = [tokens[i:] for i in range(max_order)]
+    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, max_order + 1)))
 
 
 def _stats(cand: TokenSeq, refs: Sequence[TokenSeq], max_order: int) -> list[int]:
     """One sentence's vector: matches and totals for orders 1..max_order, then c and r."""
+    # each candidate n-gram count is clipped at its maximum count in any one reference;
+    # only the grams a reference shares with the candidate can raise that maximum
+    counts = _grams(cand, max_order)
+    max_ref: dict = {}
+    for ref in refs:
+        ref_counts = _grams(ref, max_order)
+        for gram in counts.keys() & ref_counts.keys():
+            if ref_counts[gram] > max_ref.get(gram, 0):
+                max_ref[gram] = ref_counts[gram]
+    matches = [0] * (max_order + 1)
+    for gram, ref_count in max_ref.items():
+        matches[len(gram)] += min(counts[gram], ref_count)
+    c = len(cand)
     stats: list[int] = []
     for n in range(1, max_order + 1):
-        stats.extend(_matches(cand, refs, n))
-    c = len(cand)
+        stats += [matches[n], max(0, c - n + 1)]
     # closest reference length, ties broken toward the shorter reference
     stats += [c, min((len(ref) for ref in refs), key=lambda r: (abs(r - c), r))]
     return stats
@@ -112,7 +120,9 @@ def modified_precision(
     corpus before any ratio is taken.
     """
     _check_shapes(candidates, references)
-    pairs = [_matches(cand, refs, n) for cand, refs in zip(candidates, references)]
+    if n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    pairs = [_stats(cand, refs, n)[2 * n - 2 : 2 * n] for cand, refs in zip(candidates, references)]
     return sum(m for m, _ in pairs), sum(t for _, t in pairs)
 
 
@@ -152,10 +162,10 @@ def score_predictions(
         if record is None:
             missing.append(image_id)
             continue
-        tokens = tokenize(caption).tokens
+        tokens = _words(caption)
         if not tokens:
             continue
-        stats = _stats(tokens, [tokenize(cap.raw).tokens for cap in record.captions], MAX_ORDER)
+        stats = _stats(tokens, [_words(cap.raw) for cap in record.captions], MAX_ORDER)
         corpus_stats = [a + b for a, b in zip(corpus_stats, stats)]
         per_image.append((image_id, _result(stats)))
     return _result(corpus_stats), per_image, missing

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .corpus import LabelRecord, PredictionSet, read_rows, write_csv
 from .exceptions import ConfigurationError, FormatError
-from .tokens import tokenize
+from .tokens import _words
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +54,7 @@ class ConfusionReport:
 
 
 def _mention_set(caption: str, fold_plural_s: bool) -> frozenset[str]:
-    toks = set(tokenize(caption).tokens)
+    toks = set(_words(caption))
     if fold_plural_s:
         toks |= {tok[:-1] for tok in toks if len(tok) > 1 and tok.endswith("s")}
     return frozenset(toks)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .corpus import atomic_write, read_json
 from .exceptions import FormatError, IndexVersionError, QueryError
-from .tokens import tokenize
+from .tokens import _words
 
 INDEX_VERSION = 1
 
@@ -32,7 +32,7 @@ def build_index(documents: Mapping[str, str]) -> InvertedIndex:
     """Index caption text per image id; identical regardless of input order."""
     acc: defaultdict[str, set[str]] = defaultdict(set)
     for doc_id, text in documents.items():
-        for token in set(tokenize(text).tokens):
+        for token in set(_words(text)):
             acc[token].add(doc_id)
     postings = {token: tuple(sorted(acc[token])) for token in sorted(acc)}
     return InvertedIndex(postings=postings, doc_count=len(documents))
@@ -40,7 +40,7 @@ def build_index(documents: Mapping[str, str]) -> InvertedIndex:
 
 def query(index: InvertedIndex, terms: Sequence[str]) -> list[str]:
     """Ids of documents containing every term (AND), ascending id order."""
-    toks = tokenize(" ".join(terms)).tokens
+    toks = _words(" ".join(terms))
     if not toks:
         raise QueryError("query is empty after tokenization")
     result: set[str] | None = None

@@ -1,14 +1,18 @@
 """Canonical tokenizer and sentence splitter.
 
 Every statistic in this package is computed over the token stream produced
-here, so absolute token counts are only comparable between corpora processed
-by the same rules:
+by one grammar, so absolute token counts are only comparable between corpora
+processed by the same rules:
 
 - lower-case, split on whitespace
 - characters other than letters and digits, ``_`` included, are stripped from
   each chunk's ends
 - internal hyphens and apostrophes kept ("c-shaped" and "it's" are one token)
 - pure digit runs kept as tokens
+
+The grammar has two entry points. ``tokenize`` adds the count of letters and
+digits that readability reports; the stages that read only the tokens call
+``_words``, which skips that count.
 """
 
 from __future__ import annotations
@@ -30,12 +34,17 @@ class TokenizedSentence:
     char_count: int
 
 
+def _words(text: str) -> tuple[str, ...]:
+    """The grammar itself: ``tokenize(text).tokens`` without the character count."""
+    return tuple(_TOKEN.findall(text.lower()))
+
+
 def tokenize(text: str) -> TokenizedSentence:
     """Tokenize one caption (or any text) into lower-case tokens.
 
     Empty or whitespace-only text yields an empty token sequence.
     """
-    return TokenizedSentence(tuple(_TOKEN.findall(text.lower())), sum(map(str.isalnum, text)))
+    return TokenizedSentence(_words(text), sum(map(str.isalnum, text)))
 
 
 def split_sentences(text: str) -> list[str]:

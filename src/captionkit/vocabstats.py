@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, write_csv
 from .exceptions import DegenerateInputError
-from .tokens import tokenize
+from .tokens import _words
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def profile(corpus: Corpus) -> VocabularyProfile:
     for record in corpus.records:
         record_norms: set[str] = set()
         for cap in record.captions:
-            toks = tokenize(cap.raw).tokens
+            toks = _words(cap.raw)
             freq.update(toks)
             norm = " ".join(toks)
             norms_seen.add(norm)

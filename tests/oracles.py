@@ -2,8 +2,11 @@
 
 These deliberately avoid Counter/dict tricks: n-grams are materialized as
 lists and counted by scanning, so they share no code path with the library.
-The exception is ``oracle_correct``, the earlier rewrite path of
-``augment.correct``: it reuses the library's tokenizer and differs in how it
+There are two exceptions, each an earlier path of the library kept as a
+differential oracle. ``oracle_stats`` is the per-order BLEU counting path: one
+``Counter`` per order and sentence, where ``bleu._stats`` counts every order
+of a sentence at once. ``oracle_correct``, the earlier rewrite path of
+``augment.correct``, reuses the library's tokenizer and differs in how it
 applies the rules and in its nearest-word search, ``_nearest_known``, which
 enumerates every string within two ``_edits1`` steps of the token.
 """
@@ -55,6 +58,29 @@ def oracle_bleu(candidates, references, max_order=4):
         else:
             bleu[k] = bp * math.exp(sum(math.log(p) for p in precisions[:k]) / k)
     return precisions, bp, c, r, bleu
+
+
+def _matches(cand, refs, n):
+    # each candidate n-gram count is clipped at its maximum count in any one reference
+    counts = Counter(_ngrams(cand, n))
+    max_ref = {}
+    for ref in refs:
+        for gram, count in Counter(_ngrams(ref, n)).items():
+            if count > max_ref.get(gram, 0):
+                max_ref[gram] = count
+    return sum(min(count, max_ref.get(gram, 0)) for gram, count in counts.items()), sum(counts.values())
+
+
+def oracle_stats(cand, refs, max_order):
+    """One sentence's BLEU vector, order by order: matches and totals for
+    orders 1..max_order, then c and the closest reference length."""
+    stats = []
+    for n in range(1, max_order + 1):
+        stats.extend(_matches(cand, refs, n))
+    c = len(cand)
+    # closest reference length, ties broken toward the shorter reference
+    stats += [c, min((len(ref) for ref in refs), key=lambda r: (abs(r - c), r))]
+    return stats
 
 
 def _keyword_hit(trigger, tokens, fold_plural_s):

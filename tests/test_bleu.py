@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from captionkit.bleu import (
+    _stats,
     bleu_score,
     modified_precision,
     ngram_counts,
@@ -13,7 +16,7 @@ from captionkit.bleu import (
 from captionkit.corpus import PredictionSet, corpus_from_documents
 from captionkit.exceptions import DegenerateInputError
 from captionkit.tokens import tokenize
-from oracles import oracle_bleu
+from oracles import oracle_bleu, oracle_stats
 
 ALPHABET = ["a", "b", "c", "d", "e"]
 
@@ -134,6 +137,17 @@ def test_max_order_matches_oracle(max_order):
         assert (result.candidate_len, result.effective_ref_len) == (c, r)
         assert dict(result.bleu) == by_order
         assert result.zero_precision_orders == tuple(n for n, p in enumerate(precisions, 1) if p == 0.0)
+
+
+# three words, so repeated n-grams, repeated references and references shorter
+# than the order are all common
+three_words = st.lists(st.sampled_from("xyz"), max_size=9)
+
+
+@pytest.mark.parametrize("max_order", range(1, 7))
+@given(cand=three_words.filter(bool), refs=st.lists(three_words, min_size=1, max_size=5))
+def test_sentence_stats_match_per_order_oracle(max_order, cand, refs):
+    assert _stats(cand, refs, max_order) == oracle_stats(cand, refs, max_order)
 
 
 def _as_oracle(result):

@@ -191,6 +191,40 @@ def test_bleu_per_image_csv_pinned(data_dir, tmp_path, capsys):
     )
 
 
+# Each command's outputs on the 3x5 fixture, compared byte for byte with the
+# files of the same name under tests/data/pinned. Paths are relative to the
+# working directory; {data} is the fixture directory.
+PINNED_RUNS = {
+    "stats": (["stats", "--captions", "{data}/captions_3x5.jsonl", "--top-k", "5",
+               "--freq-csv", "freq.csv", "--out", "stats.json"],
+              ["freq.csv", "stats.json"]),
+    "index": (["index", "build", "--captions", "{data}/captions_3x5.jsonl", "--out", "index.json"],
+              ["index.json"]),
+    "score-confusion": (["score-confusion", "--predictions", "{data}/predictions_3.jsonl",
+                         "--labels", "labels.jsonl", "--scenes", "{data}/scenes.tsv",
+                         "--attributes", "{data}/attributes.txt", "--out", "confusion"],
+                        ["confusion/attribute_table.csv", "confusion/report.json",
+                         "confusion/scene_matrix.csv"]),
+    "bleu": (["bleu", "--predictions", "{data}/predictions_3.jsonl",
+              "--references", "{data}/captions_3x5.jsonl", "--out", "bleu.json"],
+             ["bleu.json"]),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_RUNS)
+def test_outputs_pinned(command, data_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_jsonl(tmp_path / "labels.jsonl", [
+        {"image_id": "airport_1.jpg", "scene": "airport"},
+        {"image_id": "beach_2.jpg", "scene": "beach"},
+        {"image_id": "river_3.jpg", "scene": "river"},
+    ])
+    argv, outputs = PINNED_RUNS[command]
+    assert run([arg.format(data=data_dir) for arg in argv]) == 0
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == (data_dir / "pinned" / name).read_bytes(), name
+
+
 def test_bleu_cli(tmp_path, corpus_file, capsys):
     preds = write_jsonl(tmp_path / "preds.jsonl", [
         {"image_id": "i1", "caption": "Many planes are parked in an airport."},

@@ -5,7 +5,7 @@ import sys
 from hypothesis import given
 from hypothesis import strategies as st
 
-from captionkit.tokens import split_sentences, tokenize
+from captionkit.tokens import _words, split_sentences, tokenize
 from oracles import oracle_tokens
 
 printable = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60)
@@ -54,6 +54,11 @@ def test_char_count_matches_per_character_count(text):
 @given(st.text())
 def test_tokens_match_per_character_oracle(text):
     assert tokenize(text).tokens == oracle_tokens(text)
+
+
+@given(st.text() | printable)
+def test_words_is_tokenize_without_char_count(text):
+    assert _words(text) == tokenize(text).tokens == oracle_tokens(text)
 
 
 def test_regex_classes_match_str_predicates_on_every_code_point():
