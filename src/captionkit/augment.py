@@ -27,19 +27,23 @@ MergePattern = tuple[tuple[str, str], str]
 
 
 def _check_token(value: str, what: str) -> None:
-    if not value or value.split() != [value]:
-        raise ValidationError(f"{what} must be a single non-empty token, got {value!r}")
+    # tokens are lower-case, so an upper-case rule word could never match one
+    if not value or value.split() != [value] or value != value.lower():
+        raise ValidationError(f"{what} must be a single non-empty lower-case token, got {value!r}")
 
 
 @dataclass(frozen=True)
 class CorrectionRules:
-    """Accepted-word dictionary, ordered bigram merge rules, manual overrides."""
+    """Accepted-word dictionary, ordered bigram merge rules, manual overrides; all lower-case."""
 
     dictionary: frozenset[str]
     merge_patterns: tuple[MergePattern, ...] = ()
     manual_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for word in self.dictionary:
+            if word != word.lower():
+                raise ValidationError(f"dictionary word must be lower-case, got {word!r}")
         for (first, second), merged in self.merge_patterns:
             _check_token(first, "merge pattern word")
             _check_token(second, "merge pattern word")
@@ -51,12 +55,14 @@ class CorrectionRules:
 
 @dataclass(frozen=True)
 class Thesaurus:
-    """Word to ordered synonym list; no word may list itself."""
+    """Lower-case word to ordered synonym list; no word may list itself."""
 
     entries: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
         for word, synonyms in self.entries.items():
+            if word != word.lower():
+                raise ValidationError(f"thesaurus word must be lower-case, got {word!r}")
             if not synonyms:
                 raise ValidationError(f"thesaurus entry {word!r} has no synonyms")
             if word in synonyms:

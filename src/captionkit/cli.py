@@ -14,7 +14,7 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import augment as aug
 from . import bleu as bleu_mod
@@ -24,6 +24,7 @@ from . import readability as read_mod
 from . import vocabstats
 from .corpus import (
     CAPTION_FORMATS,
+    Corpus,
     atomic_write,
     ingest_captions,
     ingest_labels,
@@ -52,22 +53,17 @@ def _emit(output: dict | Iterable[str], out: str | None) -> None:
         fh.writelines(output)
 
 
-def _add_captions_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--captions", required=True, help=f"input corpus ({CAPTIONS_SCHEMA})")
-    parser.add_argument(
-        "--format", choices=CAPTION_FORMATS, default="jsonl", help="captions file format"
-    )
+def _corpus(args: argparse.Namespace) -> Corpus:
+    return ingest_captions(args.captions, args.format)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    corpus = ingest_captions(args.captions, args.format)
-    _emit(jsonl_lines(corpus), args.out)
+    _emit(jsonl_lines(_corpus(args)), args.out)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    corpus = ingest_captions(args.captions, args.format)
-    findings = validate(corpus, strict_rsicd=args.strict)
+    findings = validate(_corpus(args), strict_rsicd=args.strict)
     _emit(
         {
             "strict": args.strict,
@@ -80,16 +76,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    corpus = ingest_captions(args.captions, args.format)
-    prof = vocabstats.profile(corpus)
+    prof = vocabstats.profile(_corpus(args))
     payload = prof.to_dict()
     if args.top_k is not None:
-        coverage = vocabstats.top_k_coverage(prof, args.top_k)
-        payload["top_k"] = {
-            "k": args.top_k,
-            "fraction": coverage.fraction,
-            "covered_tokens": coverage.covered_tokens,
-        }
+        payload["top_k"] = {"k": args.top_k, **vocabstats.top_k_coverage(prof, args.top_k)._asdict()}
     if args.freq_csv:
         vocabstats.frequency_export(prof, args.freq_csv)
     _emit(payload, args.out)
@@ -111,8 +101,7 @@ def _format_table(columns: list[tuple[str, read_mod.ReadabilityReport]]) -> str:
 
 
 def cmd_readability(args: argparse.Namespace) -> int:
-    corpus = ingest_captions(args.captions, args.format)
-    reports = [(args.captions, read_mod.report(corpus))]
+    reports = [(args.captions, read_mod.report(_corpus(args)))]
     if args.compare:
         other = ingest_captions(args.compare, args.compare_format)
         reports.append((args.compare, read_mod.report(other)))
@@ -142,30 +131,35 @@ def cmd_bleu(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_augment(args: argparse.Namespace) -> int:
-    corpus = ingest_captions(args.captions, args.format)
-    if args.strategy == "correct":
-        rules = aug.CorrectionRules(
-            dictionary=aug.load_dictionary(args.dictionary),
-            merge_patterns=aug.load_merge_rules(args.merge_rules) if args.merge_rules else (),
-            manual_overrides=aug.load_overrides(args.overrides) if args.overrides else {},
-        )
-        result = aug.correct(corpus, rules, prune_duplicates=args.prune_duplicates)
-    elif args.strategy == "synonym":
-        thesaurus = aug.load_thesaurus(args.thesaurus)
-        result = aug.synonym_expand(corpus, thesaurus, args.replacements, seed=args.seed)
+def cmd_correct(args: argparse.Namespace) -> int:
+    corpus = _corpus(args)
+    rules = aug.CorrectionRules(
+        dictionary=aug.load_dictionary(args.dictionary),
+        merge_patterns=aug.load_merge_rules(args.merge_rules) if args.merge_rules else (),
+        manual_overrides=aug.load_overrides(args.overrides) if args.overrides else {},
+    )
+    _emit(jsonl_lines(aug.correct(corpus, rules, prune_duplicates=args.prune_duplicates)), args.out)
+    return 0
+
+
+def cmd_synonym(args: argparse.Namespace) -> int:
+    corpus = _corpus(args)
+    result = aug.synonym_expand(corpus, aug.load_thesaurus(args.thesaurus), args.replacements, seed=args.seed)
+    _emit(jsonl_lines(result), args.out)
+    return 0
+
+
+def cmd_backtranslate(args: argparse.Namespace) -> int:
+    corpus = _corpus(args)
+    hops = tuple(h.strip() for h in args.chain.split(",") if h.strip())
+    if args.mock:
+        translator = MockTranslator()
+    elif args.endpoint:
+        translator = HttpTranslator(args.endpoint, api_key=os.environ.get(API_KEY_ENV))
     else:
-        hops = tuple(h.strip() for h in args.chain.split(",") if h.strip())
-        if args.mock:
-            translator = MockTranslator()
-        elif args.endpoint:
-            translator = HttpTranslator(args.endpoint, api_key=os.environ.get(API_KEY_ENV))
-        else:
-            raise ConfigurationError("backtranslate needs --endpoint or --mock")
-        chain = TranslationChain(hops, translator)
-        result = aug.back_translate(
-            corpus, chain, concurrency=args.workers, max_retries=args.retries
-        )
+        raise ConfigurationError("backtranslate needs --endpoint or --mock")
+    chain = TranslationChain(hops, translator)
+    result = aug.back_translate(corpus, chain, concurrency=args.workers, max_retries=args.retries)
     _emit(jsonl_lines(result), args.out)
     return 0
 
@@ -187,22 +181,39 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    if args.action == "build":
-        if args.predictions:
-            documents = dict(ingest_predictions(args.predictions).entries)
-        else:
-            corpus = ingest_captions(args.captions, args.format)
-            documents = {
-                record.image_id: " ".join(cap.raw for cap in record.captions)
-                for record in corpus.records
-            }
-        discover.save_index(discover.build_index(documents), args.out)
-        return 0
+def cmd_index_build(args: argparse.Namespace) -> int:
+    if args.predictions:
+        documents = ingest_predictions(args.predictions).entries
+    else:
+        documents = {
+            record.image_id: " ".join(cap.raw for cap in record.captions)
+            for record in _corpus(args).records
+        }
+    discover.save_index(discover.build_index(documents), args.out)
+    return 0
+
+
+def cmd_index_query(args: argparse.Namespace) -> int:
     index = discover.load_index(args.index)
     for image_id in discover.query(index, args.terms):
         print(image_id)
     return 0
+
+
+def _command(sub, name: str, handler: Callable[[argparse.Namespace], int], help: str,
+             description: str | None = None, captions: bool = True) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` run by ``handler``; ``captions`` adds ``--captions``/``--format``.
+
+    A captions subcommand without its own ``description`` shows the input schema.
+    """
+    if captions and description is None:
+        description = f"Input schemas -- {CAPTIONS_SCHEMA}"
+    parser = sub.add_parser(name, help=help, description=description)
+    if captions:
+        parser.add_argument("--captions", required=True, help=f"input corpus ({CAPTIONS_SCHEMA})")
+        parser.add_argument("--format", choices=CAPTION_FORMATS, default="jsonl", help="captions file format")
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,107 +223,88 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse a corpus and emit normalized captions JSONL",
-                       description=f"Input schemas -- {CAPTIONS_SCHEMA}")
-    _add_captions_args(p)
+    p = _command(sub, "ingest", cmd_ingest, "parse a corpus and emit normalized captions JSONL")
     p.add_argument("--out", help="output JSONL path (default: stdout)")
-    p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("validate", help="report corpus findings; strict mode exits 1 on findings",
-                       description=f"Input schemas -- {CAPTIONS_SCHEMA}")
-    _add_captions_args(p)
+    p = _command(sub, "validate", cmd_validate, "report corpus findings; strict mode exits 1 on findings")
     p.add_argument("--strict", action="store_true", help="require exactly 5 captions per image")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("stats", help="vocabulary profile: frequencies, hapaxes, duplicates",
-                       description=f"Input schemas -- {CAPTIONS_SCHEMA}")
-    _add_captions_args(p)
+    p = _command(sub, "stats", cmd_stats, "vocabulary profile: frequencies, hapaxes, duplicates")
     p.add_argument("--top-k", type=int, help="also report top-k token coverage")
     p.add_argument("--freq-csv", help="write rank,token,count,cumulative_fraction CSV here")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.set_defaults(handler=cmd_stats)
 
-    p = sub.add_parser("readability", help="readability metric panel, optionally side by side",
-                       description=f"Input schemas -- {CAPTIONS_SCHEMA}")
-    _add_captions_args(p)
+    p = _command(sub, "readability", cmd_readability, "readability metric panel, optionally side by side")
     p.add_argument("--compare", help="second corpus for a side-by-side comparison table")
     p.add_argument("--compare-format", choices=CAPTION_FORMATS, default="jsonl")
     p.add_argument("--table", action="store_true", help="print the text table for a single corpus")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.set_defaults(handler=cmd_readability)
 
-    p = sub.add_parser("bleu", help="BLEU-1..4 of predictions against a reference corpus",
-                       description=f"Input schemas -- {PREDICTIONS_SCHEMA}; references: {CAPTIONS_SCHEMA}")
+    p = _command(sub, "bleu", cmd_bleu, "BLEU-1..4 of predictions against a reference corpus",
+                 f"Input schemas -- {PREDICTIONS_SCHEMA}; references: {CAPTIONS_SCHEMA}",
+                 captions=False)
     p.add_argument("--predictions", required=True, help=PREDICTIONS_SCHEMA)
     p.add_argument("--references", required=True, help="reference corpus path")
     p.add_argument("--references-format", choices=CAPTION_FORMATS, default="jsonl")
     p.add_argument("--per-image", help="write per-image sentence-level scores CSV here")
     p.add_argument("--out", help="report path (default: stdout)")
-    p.set_defaults(handler=cmd_bleu)
 
     p = sub.add_parser("augment", help="correct, synonym-expand, or back-translate a corpus")
     aug_sub = p.add_subparsers(dest="strategy", required=True)
 
-    q = aug_sub.add_parser("correct", help="merge rules + spell correction + duplicate pruning",
-                           description="Rules: dictionary (one word/line), merge rules TSV "
-                                       "'bigram<TAB>replacement', overrides TSV 'word<TAB>replacement'.")
-    _add_captions_args(q)
-    q.add_argument("--dictionary", required=True, help="accepted words, one per line")
-    q.add_argument("--merge-rules", "--rules", dest="merge_rules", help="TSV bigram<TAB>replacement")
-    q.add_argument("--overrides", help="TSV word<TAB>replacement")
-    q.add_argument("--prune-duplicates", action="store_true")
-    q.add_argument("--out", help="output JSONL path (default: stdout)")
-    q.set_defaults(handler=cmd_augment)
+    p = _command(aug_sub, "correct", cmd_correct, "merge rules + spell correction + duplicate pruning",
+                 "Rules: dictionary (one word/line), merge rules TSV "
+                 "'bigram<TAB>replacement', overrides TSV 'word<TAB>replacement'.")
+    p.add_argument("--dictionary", required=True, help="accepted words, one per line")
+    p.add_argument("--merge-rules", "--rules", dest="merge_rules", help="TSV bigram<TAB>replacement")
+    p.add_argument("--overrides", help="TSV word<TAB>replacement")
+    p.add_argument("--prune-duplicates", action="store_true")
+    p.add_argument("--out", help="output JSONL path (default: stdout)")
 
-    q = aug_sub.add_parser("synonym", help="append seeded synonym-substituted caption variants",
-                           description="Thesaurus: TSV 'word<TAB>syn1,syn2,...'. --seed is required.")
-    _add_captions_args(q)
-    q.add_argument("--thesaurus", required=True, help="TSV word<TAB>syn1,syn2,...")
-    q.add_argument("--seed", type=int, required=True, help="RNG seed (no wall-clock default)")
-    q.add_argument("--replacements", type=int, default=1, help="max replaced tokens per caption")
-    q.add_argument("--out", help="output JSONL path (default: stdout)")
-    q.set_defaults(handler=cmd_augment)
+    p = _command(aug_sub, "synonym", cmd_synonym, "append seeded synonym-substituted caption variants",
+                 "Thesaurus: TSV 'word<TAB>syn1,syn2,...'. --seed is required.")
+    p.add_argument("--thesaurus", required=True, help="TSV word<TAB>syn1,syn2,...")
+    p.add_argument("--seed", type=int, required=True, help="RNG seed (no wall-clock default)")
+    p.add_argument("--replacements", type=int, default=1, help="max replaced tokens per caption")
+    p.add_argument("--out", help="output JSONL path (default: stdout)")
 
-    q = aug_sub.add_parser("backtranslate", help="round-trip captions through pivot languages",
-                           description="Remote contract: POST {q, source, target} -> "
-                                       f"{{translatedText}}; API key via ${API_KEY_ENV}.")
-    _add_captions_args(q)
-    q.add_argument("--chain", default="es,de,fr", help="comma-separated pivot language codes")
-    q.add_argument("--mock", action="store_true", help="use the offline deterministic translator")
-    q.add_argument("--endpoint", help="translation service URL")
-    q.add_argument("--retries", type=int, default=2, help="retries per translation request")
-    q.add_argument("--workers", type=int, default=1, help="worker threads for translation requests")
-    q.add_argument("--out", help="output JSONL path (default: stdout)")
-    q.set_defaults(handler=cmd_augment)
+    p = _command(aug_sub, "backtranslate", cmd_backtranslate, "round-trip captions through pivot languages",
+                 "Remote contract: POST {q, source, target} -> "
+                 f"{{translatedText}}; API key via ${API_KEY_ENV}.")
+    p.add_argument("--chain", default="es,de,fr", help="comma-separated pivot language codes")
+    p.add_argument("--mock", action="store_true", help="use the offline deterministic translator")
+    p.add_argument("--endpoint", help="translation service URL")
+    p.add_argument("--retries", type=int, default=2, help="retries per translation request")
+    p.add_argument("--workers", type=int, default=1, help="worker threads for translation requests")
+    p.add_argument("--out", help="output JSONL path (default: stdout)")
 
-    p = sub.add_parser("score-confusion", help="scene-keyword confusion matrix for predictions",
-                       description=f"Inputs -- {PREDICTIONS_SCHEMA}; {LABELS_SCHEMA}; scenes TSV "
-                                   "'scene<TAB>trigger1,trigger2,...'; attributes: one token per line.")
+    p = _command(sub, "score-confusion", cmd_confusion, "scene-keyword confusion matrix for predictions",
+                 f"Inputs -- {PREDICTIONS_SCHEMA}; {LABELS_SCHEMA}; scenes TSV "
+                 "'scene<TAB>trigger1,trigger2,...'; attributes: one token per line.",
+                 captions=False)
     p.add_argument("--predictions", required=True, help=PREDICTIONS_SCHEMA)
     p.add_argument("--labels", required=True, help=LABELS_SCHEMA)
     p.add_argument("--scenes", help="scene trigger TSV (default: each scene name triggers itself)")
     p.add_argument("--attributes", help="attribute token list, one per line")
     p.add_argument("--no-plural-fold", action="store_true", help="disable trailing-'s' folding")
     p.add_argument("--out", help="directory for CSV exports + report.json (default: JSON to stdout)")
-    p.set_defaults(handler=cmd_confusion)
 
     p = sub.add_parser("index", help="build or query an inverted caption index")
     idx_sub = p.add_subparsers(dest="action", required=True)
 
-    q = idx_sub.add_parser("build", help="index a corpus (or predictions) for keyword search",
-                           description=f"Input schemas -- {CAPTIONS_SCHEMA}; or {PREDICTIONS_SCHEMA}")
-    source = q.add_mutually_exclusive_group(required=True)
+    p = _command(idx_sub, "build", cmd_index_build, "index a corpus (or predictions) for keyword search",
+                 f"Input schemas -- {CAPTIONS_SCHEMA}; or {PREDICTIONS_SCHEMA}", captions=False)
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--captions", help="caption corpus to index")
     source.add_argument("--predictions", help="index generated captions instead of a corpus")
-    q.add_argument("--format", choices=CAPTION_FORMATS, default="jsonl")
-    q.add_argument("--out", required=True, help="index JSON path")
-    q.set_defaults(handler=cmd_index)
+    p.add_argument("--format", choices=CAPTION_FORMATS, default="jsonl")
+    p.add_argument("--out", required=True, help="index JSON path")
 
-    q = idx_sub.add_parser("query", help="conjunctive keyword query; one image id per line")
-    q.add_argument("--index", required=True, help="index JSON path")
-    q.add_argument("terms", nargs="+", help="query terms (AND semantics)")
-    q.set_defaults(handler=cmd_index)
+    p = _command(idx_sub, "query", cmd_index_query,
+                 "conjunctive keyword query; one image id per line", captions=False)
+    p.add_argument("--index", required=True, help="index JSON path")
+    p.add_argument("terms", nargs="+", help="query terms (AND semantics)")
 
     return parser
 

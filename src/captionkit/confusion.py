@@ -65,6 +65,8 @@ def _lookup(triggers: Mapping, fold_plural_s: bool) -> dict[str, set]:
     lookup: dict[str, set] = {}
     for key, words in triggers.items():
         for word in words:
+            if word != word.lower():
+                raise ConfigurationError(f"{word!r} must be lower-case to match a token")
             lookup.setdefault(word, set()).add(key)
             if fold_plural_s and len(word) > 1 and word.endswith("s"):
                 lookup.setdefault(word[:-1], set()).add(key)

@@ -86,7 +86,7 @@ class ImageRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable collection of image records.
+    """Ordered, immutable collection of image records; a repeated image id raises ``ValidationError``.
 
     Augmentation and correction never mutate a corpus; they build a new one
     with a derived provenance label.
@@ -94,6 +94,13 @@ class Corpus:
 
     records: tuple[ImageRecord, ...]
     provenance: str = "unlabeled"
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for record in self.records:
+            if record.image_id in seen:
+                raise ValidationError(f"duplicate image_id {record.image_id!r}")
+            seen.add(record.image_id)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -360,32 +367,20 @@ def ingest_predictions(path: str | Path) -> PredictionSet:
 
 
 def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:
-    """Report-only corpus checks.
+    """Report-only corpus checks: with ``strict_rsicd``, each record without exactly five captions.
 
-    Always flags duplicate image ids; with ``strict_rsicd`` additionally flags
-    records that do not carry exactly five captions.
+    Nothing else can be found: a ``Corpus`` already rejects repeated ids and empty captions.
     """
-    findings = []
-    seen: set[str] = set()
-    for record in corpus.records:
-        if record.image_id in seen:
-            findings.append(
-                Finding("duplicate-image-id", f"duplicate image_id {record.image_id!r}", record.image_id)
-            )
-        seen.add(record.image_id)
-        if strict_rsicd and len(record.captions) != 5:
-            findings.append(
-                Finding(
-                    "caption-count",
-                    f"record {record.image_id!r} has {len(record.captions)} captions, expected 5",
-                    record.image_id,
-                )
-            )
-    return findings
+    return [
+        Finding("caption-count", f"record {r.image_id!r} has {len(r.captions)} captions, expected 5",
+                r.image_id)
+        for r in corpus.records
+        if strict_rsicd and len(r.captions) != 5
+    ]
 
 
 def corpus_from_documents(documents: Mapping[str, Iterable[str]], provenance: str) -> Corpus:
-    """Build a corpus from an id -> captions mapping (test/convenience helper)."""
+    """Build a corpus from an id -> captions mapping; ids are lower-cased and must stay unique."""
     records = []
     for image_id, texts in documents.items():
         image_id = image_id.lower()

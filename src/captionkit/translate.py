@@ -35,8 +35,9 @@ class TranslationChain:
     def __post_init__(self) -> None:
         if not self.hops:
             raise ValidationError("translation chain needs at least one hop")
-        path = ("en", *(h.lower() for h in self.hops), "en")
-        for a, b in zip(path, path[1:]):
+        for a, b in self.legs():
+            if not b.strip():
+                raise ValidationError(f"blank hop {b!r} in chain")
             if a == b:
                 raise ValidationError(f"consecutive identical hop {a!r} in chain")
 

@@ -157,6 +157,20 @@ def test_rule_validation():
         CorrectionRules(BASIC_DICT, manual_overrides={"x": ""})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CorrectionRules(frozenset({"Beach", "sea"})),
+    lambda: _rules(merge_patterns=((("C", "shape"), "c-shaped"),)),
+    lambda: _rules(merge_patterns=((("c", "shape"), "C-shaped"),)),
+    lambda: _rules(manual_overrides={"Bulding": "building"}),
+    lambda: _rules(manual_overrides={"bulding": "Building"}),
+    lambda: Thesaurus({"Beach": ("shore",)}),
+], ids=["dictionary", "merge-word", "merged-token", "override-key", "override-value", "thesaurus"])
+def test_upper_case_rule_word_rejected(build):
+    # tokens are lower-case: such a word would never fire, or would write upper case
+    with pytest.raises(ValidationError, match="lower-case"):
+        build()
+
+
 def _random_correction_case(rng):
     """A small corpus and rule set over a four-letter alphabet, so most words
     lie within two edits of several known words and ties are common."""
@@ -508,6 +522,12 @@ def test_chain_validation():
         TranslationChain(("en",), MockTranslator.identity())  # en..en leg at the start
     legs = TranslationChain(("es", "de", "fr"), MockTranslator.identity()).legs()
     assert legs == [("en", "es"), ("es", "de"), ("de", "fr"), ("fr", "en")]
+
+
+@pytest.mark.parametrize("hops", [("",), (" ",), ("es", "", "de")])
+def test_chain_rejects_blank_hop(hops):
+    with pytest.raises(ValidationError, match="blank hop"):
+        TranslationChain(hops, MockTranslator.identity())
 
 
 def test_mock_translator_rejects_empty_pattern():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from captionkit.cli import run
+from captionkit.cli import build_parser, run
 from conftest import write_jsonl
 
 
@@ -208,6 +209,28 @@ PINNED_RUNS = {
     "bleu": (["bleu", "--predictions", "{data}/predictions_3.jsonl",
               "--references", "{data}/captions_3x5.jsonl", "--out", "bleu.json"],
              ["bleu.json"]),
+    "ingest": (["ingest", "--captions", "{data}/rsicd_small.json", "--format", "rsicd_json",
+                "--out", "ingest.jsonl"],
+               ["ingest.jsonl"]),
+    "validate": (["validate", "--captions", "{data}/captions_3x5.jsonl", "--strict",
+                  "--out", "validate.json"],
+                 ["validate.json"]),
+    "augment-correct": (["augment", "correct", "--captions", "{data}/captions_3x5.jsonl",
+                         "--dictionary", "{data}/dictionary.txt",
+                         "--merge-rules", "{data}/merges.tsv", "--prune-duplicates",
+                         "--out", "corrected.jsonl"],
+                        ["corrected.jsonl"]),
+    "augment-synonym": (["augment", "synonym", "--captions", "{data}/captions_3x5.jsonl",
+                         "--thesaurus", "{data}/thesaurus.tsv", "--seed", "7",
+                         "--out", "synonym.jsonl"],
+                        ["synonym.jsonl"]),
+    "augment-backtranslate": (["augment", "backtranslate", "--captions",
+                               "{data}/captions_3x5.jsonl", "--mock",
+                               "--out", "backtranslated.jsonl"],
+                              ["backtranslated.jsonl"]),
+    "index-predictions": (["index", "build", "--predictions", "{data}/predictions_3.jsonl",
+                           "--out", "index_predictions.json"],
+                          ["index_predictions.json"]),
 }
 
 
@@ -223,6 +246,77 @@ def test_outputs_pinned(command, data_dir, tmp_path, monkeypatch):
     assert run([arg.format(data=data_dir) for arg in argv]) == 0
     for name in outputs:
         assert (tmp_path / name).read_bytes() == (data_dir / "pinned" / name).read_bytes(), name
+
+
+def test_index_query_stdout_pinned(data_dir, capsys):
+    index = str(data_dir / "pinned" / "index.json")
+    printed = []
+    for terms in (["green", "trees"], ["near"], ["Bridge"], ["sea", "river"]):
+        assert run(["index", "query", "--index", index, *terms]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed == [
+        "airport_1.jpg\nbeach_2.jpg\nriver_3.jpg\n",
+        "airport_1.jpg\nriver_3.jpg\n",
+        "river_3.jpg\n",
+        "",
+    ]
+
+
+def _parser_structure(parser, path="captionkit"):
+    """Describe ``parser`` and every parser below it, keyed by command path.
+
+    Read from the parser objects rather than from ``--help``, whose layout
+    differs between Python versions.
+    """
+    actions = []
+    below = {}
+    for action in parser._actions:
+        entry = {
+            "kind": type(action).__name__,
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "required": action.required,
+            "default": action.default,
+            "choices": action.choices,
+            "nargs": action.nargs,
+            "type": getattr(action.type, "__name__", action.type),
+            "help": action.help,
+        }
+        if isinstance(action, argparse._SubParsersAction):
+            entry["choices"] = {choice.dest: choice.help for choice in action._choices_actions}
+            for name, subparser in action.choices.items():
+                below.update(_parser_structure(subparser, f"{path} {name}"))
+        actions.append(entry)
+    exclusive = [{"options": [a.option_strings for a in group._group_actions],
+                  "required": group.required}
+                 for group in parser._mutually_exclusive_groups]
+    return {path: {"description": parser.description, "actions": actions,
+                   "exclusive": exclusive}, **below}
+
+
+def test_parser_structure_pinned(data_dir):
+    structure = json.loads(json.dumps(_parser_structure(build_parser())))
+    pinned = json.loads((data_dir / "pinned" / "parser.json").read_text(encoding="utf-8"))
+    assert len(structure) == 14
+    assert list(structure) == list(pinned)
+    for path in pinned:
+        assert structure[path] == pinned[path], path
+
+
+def test_rsicd_json_second_inputs(data_dir, tmp_path, capsys):
+    # rsicd_small.json holds the same records as captions_3x5.jsonl
+    rsicd = str(data_dir / "rsicd_small.json")
+    assert run(["bleu", "--predictions", str(data_dir / "predictions_3.jsonl"),
+                "--references", rsicd, "--references-format", "rsicd_json",
+                "--out", str(tmp_path / "bleu.json")]) == 0
+    assert (tmp_path / "bleu.json").read_bytes() == (data_dir / "pinned" / "bleu.json").read_bytes()
+    argv = ["readability", "--captions", str(data_dir / "captions_3x5.jsonl"), "--compare", rsicd]
+    assert run(argv + ["--compare-format", "rsicd_json", "--out", str(tmp_path / "cmp.json")]) == 0
+    first, second = json.loads((tmp_path / "cmp.json").read_text()).values()
+    assert first == second
+    capsys.readouterr()
+    assert run(argv) == 2  # read as jsonl, the rsicd file does not parse
+    assert rsicd in capsys.readouterr().err
 
 
 def test_bleu_cli(tmp_path, corpus_file, capsys):
@@ -276,6 +370,17 @@ def test_augment_backtranslate_requires_endpoint_or_mock(corpus_file, capsys):
     assert run(["augment", "backtranslate", "--captions", corpus_file]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["augment", "correct", "--dictionary", "no-dictionary.txt"],
+    ["augment", "synonym", "--thesaurus", "no-thesaurus.tsv", "--seed", "1"],
+    ["augment", "backtranslate"],  # neither --endpoint nor --mock
+])
+def test_augment_reads_the_corpus_first(argv, tmp_path, capsys):
+    missing = str(tmp_path / "no-corpus.jsonl")
+    assert run([*argv, "--captions", missing]) == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_augment_backtranslate_mock(corpus_file, tmp_path):
     out = tmp_path / "bt.jsonl"
     code = run(["augment", "backtranslate", "--captions", corpus_file,
@@ -305,6 +410,16 @@ def test_score_confusion_cli(tmp_path, capsys):
     # without --out the JSON lands on stdout
     assert run(["score-confusion", "--predictions", str(preds), "--labels", str(labels)]) == 0
     assert _stdout_json(capsys)["diagonal_accuracy"] == 1.0
+
+
+def test_score_confusion_no_plural_fold(tmp_path, capsys):
+    preds = write_jsonl(tmp_path / "p.jsonl", [{"image_id": "n1", "caption": "two airports"}])
+    labels = write_jsonl(tmp_path / "l.jsonl", [{"image_id": "n1", "scene": "airport"}])
+    argv = ["score-confusion", "--predictions", str(preds), "--labels", str(labels)]
+    assert run(argv) == 0
+    assert _stdout_json(capsys)["matrix"] == {"airport": {"airport": 1}}
+    assert run(argv + ["--no-plural-fold"]) == 0
+    assert _stdout_json(capsys)["matrix"] == {"airport": {"airport": 0}}
 
 
 def test_score_confusion_repeated_attribute_one_row(tmp_path):

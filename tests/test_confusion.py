@@ -110,6 +110,18 @@ def test_trigger_sets_extend_matching():
     assert report.diagonal_accuracy == 1.0
 
 
+@pytest.mark.parametrize("keywords, attributes", [
+    ({"beach": frozenset({"Beach"})}, ()),
+    ({"beach": frozenset({"beach", "Sea"})}, ()),
+    ({"beach": frozenset({"beach"})}, ("White",)),
+])
+def test_upper_case_trigger_or_attribute_rejected(keywords, attributes):
+    # tokens are lower-case, so such a word would always count 0
+    predictions = PredictionSet({"x": "white sea by a beach"})
+    with pytest.raises(ConfigurationError, match="lower-case"):
+        scene_matrix(predictions, [LabelRecord("x", "beach")], keywords, attributes=attributes)
+
+
 def test_scene_without_keywords_rejected():
     predictions = PredictionSet({"x": "a beach"})
     labels = [LabelRecord("x", "beach")]

@@ -137,10 +137,12 @@ def test_validate_lenient_ignores_count():
     assert validate(corpus, strict_rsicd=False) == []
 
 
-def test_validate_flags_duplicate_ids():
-    corpus = Corpus((_record("i1", 1), _record("i1", 1)), "t")
-    findings = validate(corpus)
-    assert [f.code for f in findings] == ["duplicate-image-id"]
+def test_corpus_rejects_repeated_id():
+    with pytest.raises(ValidationError, match="duplicate image_id 'i1'"):
+        Corpus((_record("i1", 1), _record("i2", 1), _record("i1", 1)), "t")
+    # ids are lower-cased, so keys that differ only in case collide
+    with pytest.raises(ValidationError, match="duplicate image_id 'a'"):
+        corpus_from_documents({"A": ["a beach"], "a": ["a river"]}, "t")
 
 
 def test_record_invariants():

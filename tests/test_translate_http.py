@@ -6,6 +6,7 @@ import pytest
 import requests
 
 from captionkit.augment import back_translate
+from captionkit.cli import API_KEY_ENV, run
 from captionkit.corpus import corpus_from_documents
 from captionkit.exceptions import TranslationError
 from captionkit.translate import HttpTranslator, TranslationChain
@@ -103,8 +104,9 @@ def test_only_transient_http_failures_are_retried(server, status, attempts):
     assert len(_Handler.requests_seen) == attempts
 
 
-def test_worker_threads_do_not_share_a_session(server, monkeypatch):
-    used = {}  # thread id -> sessions it posted through
+def _two_workers_posting(monkeypatch, translator):
+    """Back-translate three captions on two threads; return thread id -> sessions posted through."""
+    used = {}
     both_started = threading.Barrier(2, timeout=5)
     post = requests.Session.post
 
@@ -116,12 +118,33 @@ def test_worker_threads_do_not_share_a_session(server, monkeypatch):
 
     monkeypatch.setattr(requests.Session, "post", recording_post)
     corpus = corpus_from_documents({"i1": ["a beach", "a road"], "i2": ["a port"]}, "t")
-    chain = TranslationChain(("es",), HttpTranslator(server))
-    back_translate(corpus, chain, concurrency=2, backoff=0.0)
+    back_translate(corpus, TranslationChain(("es",), translator), concurrency=2, backoff=0.0)
     assert len(used) == 2
+    return used
+
+
+def test_worker_threads_do_not_share_a_session(server, monkeypatch):
+    used = _two_workers_posting(monkeypatch, HttpTranslator(server))
     first, second = used.values()
     assert all(a is not b for a in first for b in second)
     assert len({id(s) for s in first}) == len({id(s) for s in second}) == 1
+
+
+def test_given_session_serves_every_worker(server, monkeypatch):
+    with requests.Session() as given:
+        used = _two_workers_posting(monkeypatch, HttpTranslator(server, session=given))
+    assert all(session is given for sessions in used.values() for session in sessions)
+
+
+def test_cli_backtranslate_endpoint_sends_api_key(server, tmp_path, monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "k-env")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"image_id": "i1", "captions": ["a beach"]}) + "\n", encoding="utf-8")
+    out = tmp_path / "bt.jsonl"
+    assert run(["augment", "backtranslate", "--captions", str(corpus), "--endpoint", server,
+                "--chain", "es", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["captions"] == ["a beach", "A BEACH"]
+    assert [r.get("api_key") for r in _Handler.requests_seen] == ["k-env", "k-env"]
 
 
 def test_unreachable_endpoint():
