@@ -13,12 +13,13 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Caption, CaptionSource, Corpus, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
-from .tokens import _words
+from .tokens import _check_word, _words
 from .translate import TranslationChain, _PermanentFailure
 
 logger = logging.getLogger(__name__)
@@ -26,43 +27,30 @@ logger = logging.getLogger(__name__)
 MergePattern = tuple[tuple[str, str], str]
 
 
-def _check_token(value: str, what: str) -> None:
-    # tokens are lower-case, so an upper-case rule word could never match one
-    if not value or value.split() != [value] or value != value.lower():
-        raise ValidationError(f"{what} must be a single non-empty lower-case token, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CorrectionRules:
-    """Accepted-word dictionary, ordered bigram merge rules, manual overrides; all lower-case."""
+    """Accepted-word dictionary, ordered bigram merge rules, manual overrides; each word one token."""
 
     dictionary: frozenset[str]
     merge_patterns: tuple[MergePattern, ...] = ()
     manual_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for word in self.dictionary:
-            if word != word.lower():
-                raise ValidationError(f"dictionary word must be lower-case, got {word!r}")
-        for (first, second), merged in self.merge_patterns:
-            _check_token(first, "merge pattern word")
-            _check_token(second, "merge pattern word")
-            _check_token(merged, "merged token")
-        for word, replacement in self.manual_overrides.items():
-            _check_token(word, "override word")
-            _check_token(replacement, "override replacement")
+        merge_words = (word for pair, merged in self.merge_patterns for word in (*pair, merged))
+        overrides = self.manual_overrides
+        for word in chain(self.dictionary, merge_words, overrides, overrides.values()):
+            _check_word(word, "rule word")
 
 
 @dataclass(frozen=True)
 class Thesaurus:
-    """Lower-case word to ordered synonym list; no word may list itself."""
+    """Word (one token) to ordered synonym list; no word may list itself."""
 
     entries: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
         for word, synonyms in self.entries.items():
-            if word != word.lower():
-                raise ValidationError(f"thesaurus word must be lower-case, got {word!r}")
+            _check_word(word, "thesaurus word")
             if not synonyms:
                 raise ValidationError(f"thesaurus entry {word!r} has no synonyms")
             if word in synonyms:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .corpus import LabelRecord, PredictionSet, read_rows, write_csv
 from .exceptions import ConfigurationError, FormatError
-from .tokens import _words
+from .tokens import _check_word, _words
 
 logger = logging.getLogger(__name__)
 
@@ -65,8 +65,7 @@ def _lookup(triggers: Mapping, fold_plural_s: bool) -> dict[str, set]:
     lookup: dict[str, set] = {}
     for key, words in triggers.items():
         for word in words:
-            if word != word.lower():
-                raise ConfigurationError(f"{word!r} must be lower-case to match a token")
+            _check_word(word, "scene trigger or attribute", ConfigurationError)
             lookup.setdefault(word, set()).add(key)
             if fold_plural_s and len(word) > 1 and word.endswith("s"):
                 lookup.setdefault(word[:-1], set()).add(key)
@@ -169,13 +168,9 @@ def matrix_export(report: ConfusionReport, out_dir: str | Path) -> tuple[Path, P
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    matrix_path = out_dir / "scene_matrix.csv"
-    attrs_path = out_dir / "attribute_table.csv"
-    matrix_rows = ([true, *(report.cell(true, col) for col in report.scenes)] for true in report.scenes)
-    write_csv(matrix_path, ["true_scene\\mentioned_keyword", *report.scenes], matrix_rows)
-    attribute_rows = (
-        [attr, *(report.attribute_table.get((attr, scene), 0) for scene in report.scenes)]
-        for attr in report.attributes
-    )
-    write_csv(attrs_path, ["attribute\\true_scene", *report.scenes], attribute_rows)
-    return matrix_path, attrs_path
+    paths = out_dir / "scene_matrix.csv", out_dir / "attribute_table.csv"
+    corners = "true_scene\\mentioned_keyword", "attribute\\true_scene"
+    report_dict = report.to_dict()
+    for path, corner, table in zip(paths, corners, (report_dict["matrix"], report_dict["attributes"])):
+        write_csv(path, [corner, *report.scenes], ([name, *row.values()] for name, row in table.items()))
+    return paths

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .corpus import atomic_write, read_json
 from .exceptions import FormatError, IndexVersionError, QueryError
-from .tokens import _words
+from .tokens import _check_word, _words
 
 INDEX_VERSION = 1
 
@@ -84,5 +84,6 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise FormatError(f"{path}: postings for {token!r} are not a string list")
         if any(a >= b for a, b in zip(ids, ids[1:])) or len(ids) > doc_count:
             raise FormatError(f"{path}: postings for {token!r} are not sorted, unique and <= doc_count")
+        _check_word(token, f"{path}: posting key", FormatError)
         postings[token] = tuple(ids)
     return InvertedIndex(postings=postings, doc_count=doc_count)

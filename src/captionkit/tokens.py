@@ -12,13 +12,16 @@ processed by the same rules:
 
 The grammar has two entry points. ``tokenize`` adds the count of letters and
 digits that readability reports; the stages that read only the tokens call
-``_words``, which skips that count.
+``_words``, which skips that count. ``_check_word`` is the one test of a word
+from a rule, keyword or index file: it must be a token the grammar can produce.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+from .exceptions import ValidationError
 
 _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
 # One whitespace-delimited chunk from its first to its last letter or digit:
@@ -37,6 +40,12 @@ class TokenizedSentence:
 def _words(text: str) -> tuple[str, ...]:
     """The grammar itself: ``tokenize(text).tokens`` without the character count."""
     return tuple(_TOKEN.findall(text.lower()))
+
+
+def _check_word(word: str, what: str, error: type[Exception] = ValidationError) -> None:
+    """Raise ``error`` unless the grammar reads ``word`` as exactly itself, one token."""
+    if _words(word) != (word,):
+        raise error(f"{what} must be one lower-case token as the tokenizer reads it, got {word!r}")
 
 
 def tokenize(text: str) -> TokenizedSentence:

@@ -58,18 +58,21 @@ DEFAULT_MOCK_RULES: dict[tuple[str, ...], tuple[str, ...]] = {
 
 
 class MockTranslator:
-    """Offline stand-in: rewrites token patterns, ignores language codes.
+    """Offline stand-in: rewrites word patterns, ignores language codes.
 
-    ``rules`` maps a non-empty lower-case token pattern (else ``ValidationError``)
-    to its replacement tokens; an empty replacement drops the pattern. With no
-    rules this is the identity translator.
+    ``rules`` maps a non-empty tuple of lower-case words without whitespace to
+    its replacement words (else ``ValidationError``, also for a bare string);
+    an empty replacement drops the pattern. Words are whitespace-split, not
+    tokens. With no rules this is the identity translator.
     """
 
     def __init__(self, rules: Mapping[Sequence[str], Sequence[str]] | None = None):
         source = DEFAULT_MOCK_RULES if rules is None else rules
+        if any(isinstance(pat, str) or isinstance(rep, str) for pat, rep in source.items()):
+            raise ValidationError("mock translator patterns and replacements must be word tuples, not strings")
         self._rules = {tuple(pat): tuple(rep) for pat, rep in source.items()}
-        if any(not pat or any(word != word.lower() for word in pat) for pat in self._rules):
-            raise ValidationError("mock translator patterns must be non-empty and lower-case")
+        if any(not pat or any(word.split() != [word.lower()] for word in pat) for pat in self._rules):
+            raise ValidationError("mock translator patterns must be non-empty, lower-case words without whitespace")
         # longest pattern first so "next to" wins over any single-word rule
         self._patterns = sorted(self._rules, key=lambda pat: (-len(pat), pat))
 
