@@ -44,7 +44,11 @@ class CorrectionRules:
 
 @dataclass(frozen=True)
 class Thesaurus:
-    """Word (one token) to ordered synonym list; no word may list itself."""
+    """Word (one token) to ordered synonym list; no word may list itself.
+
+    A synonym must tokenize to exactly its whitespace-split words (``sea shore``,
+    not ``Shore.``), so a variant re-tokenizes to what was written.
+    """
 
     entries: Mapping[str, tuple[str, ...]]
 
@@ -55,6 +59,11 @@ class Thesaurus:
                 raise ValidationError(f"thesaurus entry {word!r} has no synonyms")
             if word in synonyms:
                 raise ValidationError(f"thesaurus entry {word!r} lists itself as a synonym")
+            for synonym in synonyms:
+                if not synonym.split() or _words(synonym) != tuple(synonym.split()):
+                    raise ValidationError(
+                        f"thesaurus entry {word!r}: synonym {synonym!r} does not tokenize to its own words"
+                    )
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -184,14 +193,19 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     merge rules and overrides still apply to them. Pruning keeps the first
     occurrence of each normalized caption corpus-wide; a record whose
     captions are all pruned is dropped.
+
+    Each caption is tokenized once; the frequency pass keeps its tokens
+    space-joined. A caption sharing no token with a merge rule's first word or
+    a fixed token is passed through as that join, untouched by the rules.
     """
     if not rules.dictionary:
         raise ConfigurationError("correction rules have an empty dictionary")
-    corpus_freq = Counter(tok for cap in corpus.captions() for tok in _words(cap.raw))
+    # kept space-joined: far smaller than the token tuples of an RSICD-size corpus
+    joined = [" ".join(_words(cap.raw)) for cap in corpus.captions()]
+    corpus_freq = Counter(chain.from_iterable(map(str.split, joined)))
     merges = dict(reversed(rules.merge_patterns))  # the first rule listed for a bigram wins
     merged_tokens = (merged for _, merged in rules.merge_patterns)
     known = rules.dictionary.union(merged_tokens, rules.manual_overrides.values())
-    firsts = {first for first, _ in merges}
     fixes = dict(rules.manual_overrides)
     # a token reaching the fix step is a corpus type or a (known) merged token
     queries = [tok for tok in corpus_freq
@@ -202,17 +216,18 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
         else:
             logger.info("no correction within edit distance 2 for %r", token)
 
+    touched = {first for first, _ in merges}.union(fixes)  # no other token meets a rule
+
     seen_norms: set[str] = set()
     records_out = []
+    pending = iter(joined)
     for record in corpus.records:
         captions_out = []
         for cap in record.captions:
-            # tokenized again: keeping the frequency pass's tuples would hold about
-            # 41 MiB for an RSICD-size corpus (54,605 captions) until the end
-            toks = _words(cap.raw)
-            if not firsts.isdisjoint(toks):
-                toks = _apply_merges(toks, merges)
-            norm = " ".join([fixes.get(tok, tok) for tok in toks])
+            norm = next(pending)
+            toks = norm.split()  # the caption's tokens again: a token holds no whitespace
+            if not touched.isdisjoint(toks):
+                norm = " ".join([fixes.get(tok, tok) for tok in _apply_merges(tuple(toks), merges)])
             if prune_duplicates:
                 if norm in seen_norms:
                     continue
@@ -245,6 +260,7 @@ def synonym_expand(
     if replacements_per_caption < 1:
         raise ValueError("replacements_per_caption must be >= 1")
     rng = random.Random(seed)
+    entries = thesaurus.entries
     seen_norms: set[str] = set()
     records_out = []
     for record in corpus.records:
@@ -255,12 +271,12 @@ def synonym_expand(
             if not toks or norm in seen_norms:
                 continue
             seen_norms.add(norm)
-            covered = [i for i, tok in enumerate(toks) if tok in thesaurus]
+            covered = [i for i, tok in enumerate(toks) if tok in entries]
             if not covered:
                 continue
             picks = rng.sample(covered, min(replacements_per_caption, len(covered)))
             for position in sorted(picks):
-                toks[position] = rng.choice(thesaurus.entries[toks[position]])
+                toks[position] = rng.choice(entries[toks[position]])
             variants.append(Caption(record.image_id, " ".join(toks), CaptionSource.AUGMENTED))
         records_out.append(replace(record, captions=record.captions + tuple(variants)))
     return Corpus(tuple(records_out), f"{corpus.provenance}-synonym")
@@ -284,6 +300,8 @@ def back_translate(
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     captions = list(corpus.captions())
 
     def roundtrip(cap: Caption) -> str | None:

@@ -2,20 +2,23 @@
 
 These deliberately avoid Counter/dict tricks: n-grams are materialized as
 lists and counted by scanning, so they share no code path with the library.
-There are two exceptions, each an earlier path of the library kept as a
+There are three exceptions, each an earlier path of the library kept as a
 differential oracle. ``oracle_stats`` is the per-order BLEU counting path: one
 ``Counter`` per order and sentence, where ``bleu._stats`` counts every order
 of a sentence at once. ``oracle_correct``, the earlier rewrite path of
 ``augment.correct``, reuses the library's tokenizer and differs in how it
 applies the rules and in its nearest-word search, ``_nearest_known``, which
 enumerates every string within two ``_edits1`` steps of the token.
+``oracle_synonym_expand`` is the earlier ``augment.synonym_expand``, which
+tests each token against the ``Thesaurus`` itself rather than its entries.
 """
 
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 
-from captionkit.corpus import Caption, Corpus
+from captionkit.corpus import Caption, CaptionSource, Corpus
 from captionkit.tokens import tokenize
 
 
@@ -225,3 +228,27 @@ def oracle_correct(corpus, rules, prune_duplicates=False):
         if captions_out:
             records_out.append(replace(record, captions=tuple(captions_out)))
     return Corpus(tuple(records_out), f"{corpus.provenance}-corrected")
+
+
+def oracle_synonym_expand(corpus, thesaurus, replacements_per_caption=1, *, seed):
+    """``synonym_expand`` as it tested ``tok in thesaurus`` once per token."""
+    rng = random.Random(seed)
+    seen_norms = set()
+    records_out = []
+    for record in corpus.records:
+        variants = []
+        for cap in record.captions:
+            toks = list(tokenize(cap.raw).tokens)
+            norm = " ".join(toks)
+            if not toks or norm in seen_norms:
+                continue
+            seen_norms.add(norm)
+            covered = [i for i, tok in enumerate(toks) if tok in thesaurus]
+            if not covered:
+                continue
+            picks = rng.sample(covered, min(replacements_per_caption, len(covered)))
+            for position in sorted(picks):
+                toks[position] = rng.choice(thesaurus.entries[toks[position]])
+            variants.append(Caption(record.image_id, " ".join(toks), CaptionSource.AUGMENTED))
+        records_out.append(replace(record, captions=record.captions + tuple(variants)))
+    return Corpus(tuple(records_out), f"{corpus.provenance}-synonym")

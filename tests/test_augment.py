@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from captionkit import augment
@@ -18,9 +18,9 @@ from captionkit.augment import (
 )
 from captionkit.corpus import corpus_from_documents, jsonl_lines, validate
 from captionkit.exceptions import ConfigurationError, TranslationError, ValidationError
-from captionkit.tokens import tokenize
+from captionkit.tokens import _words, tokenize
 from captionkit.translate import MockTranslator, TranslationChain
-from oracles import _nearest_known, oracle_correct
+from oracles import _nearest_known, oracle_correct, oracle_synonym_expand
 
 BASIC_DICT = frozenset(
     "a an the building buildings beach sea many planes are parked in airport "
@@ -416,6 +416,85 @@ def test_thesaurus_validation():
         Thesaurus({"green": ("green",)})
 
 
+@pytest.mark.parametrize("synonym", ["Sandy shore.", "shore.", "Shore", "", "  ", "sea, shore"])
+def test_thesaurus_synonym_must_reread_as_itself(synonym):
+    with pytest.raises(ValidationError, match="'beach'"):
+        Thesaurus({"beach": ("coast", synonym)})
+
+
+def test_multi_word_synonym_is_written_as_its_tokens():
+    corpus = corpus_from_documents({"i": ["a beach near the sea"]}, "t")
+    grown = synonym_expand(corpus, Thesaurus({"beach": ("sea shore",)}), seed=1)
+    assert [c.raw for c in grown.captions()] == ["a beach near the sea", "a sea shore near the sea"]
+    for cap in grown.captions():
+        assert _words(cap.raw) == tuple(cap.raw.split())
+
+
+def _counting_words(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return _words(text)
+
+    monkeypatch.setattr(augment, "_words", counting)
+    return calls
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_correct_tokenizes_each_caption_once(monkeypatch, prune):
+    rng = random.Random(37 + prune)
+    cases = [_random_correction_case(rng) for _ in range(20)]
+    calls = _counting_words(monkeypatch)
+    for corpus, rules in cases:
+        calls.clear()
+        correct(corpus, rules, prune_duplicates=prune)
+        assert calls == [cap.raw for cap in corpus.captions()]
+
+
+def test_synonym_expand_tokenizes_each_caption_once(monkeypatch):
+    corpus = corpus_from_documents(
+        {"i1": ["several buildings", "Several buildings.", "..."], "i2": ["white waves", "several trees"]}, "t"
+    )
+    thesaurus = Thesaurus({"several": ("some",)})
+    calls = _counting_words(monkeypatch)
+    synonym_expand(corpus, thesaurus, seed=1)
+    assert calls == [cap.raw for cap in corpus.captions()]
+
+
+_SYNONYM_WORD = st.sampled_from(["ab", "b", "ba", "abc", "c-a", "ca", "bb"])
+
+
+@st.composite
+def _synonym_case(draw):
+    """A thesaurus over a few words, some synonyms two words long, and a corpus
+    drawn from a small caption pool: duplicates (also re-cased and punctuated
+    ones), punctuation-only captions and captions no thesaurus word covers."""
+    heads = draw(st.lists(_SYNONYM_WORD, min_size=1, max_size=4, unique=True))
+    synonym = st.lists(_SYNONYM_WORD, min_size=1, max_size=2).map(" ".join)
+    thesaurus = {}
+    for head in heads:
+        synonyms = st.lists(synonym.filter(lambda s, head=head: s != head), min_size=1, max_size=3, unique=True)
+        thesaurus[head] = tuple(draw(synonyms))
+    words = st.lists(st.one_of(_SYNONYM_WORD, st.just("d")), min_size=1, max_size=5).map(" ".join)
+    text = st.one_of(words, st.sampled_from(["...", "d d", "- !"]))
+    decorated = st.tuples(text, st.booleans(), st.sampled_from(["", ".", " !"]))
+    pool = draw(st.lists(decorated.map(lambda t: (t[0].upper() if t[1] else t[0]) + t[2]), min_size=1, max_size=5))
+    captions = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    documents = draw(st.dictionaries(st.sampled_from(["i1", "i2", "i3"]), captions, min_size=1))
+    return corpus_from_documents(documents, "t"), Thesaurus(thesaurus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_synonym_case(), st.integers(1, 3), st.integers(0, 2**32))
+def test_synonym_expand_matches_oracle(case, replacements, seed):
+    corpus, thesaurus = case
+    got = synonym_expand(corpus, thesaurus, replacements, seed=seed)
+    expected = oracle_synonym_expand(corpus, thesaurus, replacements, seed=seed)
+    assert list(jsonl_lines(got)) == list(jsonl_lines(expected))
+    assert got == expected
+
+
 def test_back_translate_identity_mock_is_fixed_point():
     corpus = corpus_from_documents(
         {"i1": ["Many trees behind a school bus", "Island next to crashing waves"]}, "t"
@@ -500,6 +579,14 @@ def test_back_translate_rejects_negative_retries():
     translator = _FlakyTranslator(failures=0)
     with pytest.raises(ValueError, match="max_retries"):
         back_translate(corpus, TranslationChain(("es",), translator), max_retries=-1)
+    assert translator.calls == 0
+
+
+def test_back_translate_rejects_zero_concurrency():
+    corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
+    translator = _FlakyTranslator(failures=0)
+    with pytest.raises(ValueError, match=r"^concurrency must be >= 1, got 0$"):
+        back_translate(corpus, TranslationChain(("es",), translator), concurrency=0)
     assert translator.calls == 0
 
 
