@@ -191,8 +191,8 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     through that index and verifies every candidate exactly. Tokens of one or
     two characters and pure digit tokens are exempt from fuzzy substitution;
     merge rules and overrides still apply to them. Pruning keeps the first
-    occurrence of each normalized caption corpus-wide; a record whose
-    captions are all pruned is dropped.
+    occurrence of each normalized caption corpus-wide and never prunes a
+    caption without tokens; a record whose captions are all pruned is dropped.
 
     Each caption is tokenized once; the frequency pass keeps its tokens
     space-joined. A caption sharing no token with a merge rule's first word or
@@ -228,7 +228,7 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
             toks = norm.split()  # the caption's tokens again: a token holds no whitespace
             if not touched.isdisjoint(toks):
                 norm = " ".join([fixes.get(tok, tok) for tok in _apply_merges(tuple(toks), merges)])
-            if prune_duplicates:
+            if prune_duplicates and norm:  # a caption without tokens has no form to duplicate
                 if norm in seen_norms:
                     continue
                 seen_norms.add(norm)

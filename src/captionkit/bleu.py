@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, PredictionSet
 from .exceptions import DegenerateInputError
@@ -66,23 +66,22 @@ def _check_shapes(candidates: Sequence[TokenSeq], references: Sequence[Sequence[
             raise ValueError(f"candidate {i} has no references")
 
 
-def _grams(tokens: TokenSeq, max_order: int) -> Counter:
-    """Every n-gram of orders 1..max_order in one multiset; a gram's length is its order."""
+def _grams(tokens: TokenSeq, max_order: int) -> Iterator[tuple[str, ...]]:
+    """Every n-gram of orders 1..max_order in one stream; a gram's length is its order."""
     shifted = [tokens[i:] for i in range(max_order)]
-    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, max_order + 1)))
+    return chain.from_iterable(zip(*shifted[:n]) for n in range(1, max_order + 1))
 
 
 def _stats(cand: TokenSeq, refs: Sequence[TokenSeq], max_order: int) -> list[int]:
     """One sentence's vector: matches and totals for orders 1..max_order, then c and r."""
     # each candidate n-gram count is clipped at its maximum count in any one reference;
-    # only the grams a reference shares with the candidate can raise that maximum
-    counts = _grams(cand, max_order)
+    # only the grams the candidate holds can raise that maximum, so only those are counted
+    counts = Counter(_grams(cand, max_order))
     max_ref: dict = {}
     for ref in refs:
-        ref_counts = _grams(ref, max_order)
-        for gram in counts.keys() & ref_counts.keys():
-            if ref_counts[gram] > max_ref.get(gram, 0):
-                max_ref[gram] = ref_counts[gram]
+        for gram, ref_count in Counter(filter(counts.__contains__, _grams(ref, max_order))).items():
+            if ref_count > max_ref.get(gram, 0):
+                max_ref[gram] = ref_count
     matches = [0] * (max_order + 1)
     for gram, ref_count in max_ref.items():
         matches[len(gram)] += min(counts[gram], ref_count)

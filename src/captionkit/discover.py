@@ -21,7 +21,13 @@ INDEX_VERSION = 1
 
 @dataclass(frozen=True)
 class InvertedIndex:
-    """Token to sorted, duplicate-free id list; immutable once built."""
+    """Token to sorted, duplicate-free id list; immutable once built.
+
+    ``load_index`` enforces what ``build_index`` guarantees and ``query``
+    relies on: each key is one token as the tokenizer reads it, each posting
+    list is strictly ascending, and no more distinct ids appear across all
+    lists than ``doc_count``.
+    """
 
     postings: Mapping[str, tuple[str, ...]]
     doc_count: int
@@ -29,38 +35,43 @@ class InvertedIndex:
 
 
 def build_index(documents: Mapping[str, str]) -> InvertedIndex:
-    """Index caption text per image id; identical regardless of input order."""
-    acc: defaultdict[str, set[str]] = defaultdict(set)
-    for doc_id, text in documents.items():
+    """Index caption text per image id; identical regardless of input order.
+
+    Ids are walked in ascending order and appended to each of their tokens'
+    lists, so every list is sorted and duplicate-free as it is built.
+    """
+    acc: defaultdict[str, list[str]] = defaultdict(list)
+    for doc_id, text in sorted(documents.items()):  # ids are unique: texts are never compared
         for token in set(_words(text)):
-            acc[token].add(doc_id)
-    postings = {token: tuple(sorted(acc[token])) for token in sorted(acc)}
+            acc[token].append(doc_id)
+    postings = {token: tuple(acc[token]) for token in sorted(acc)}
     return InvertedIndex(postings=postings, doc_count=len(documents))
 
 
 def query(index: InvertedIndex, terms: Sequence[str]) -> list[str]:
-    """Ids of documents containing every term (AND), ascending id order."""
+    """Ids of documents containing every term (AND), ascending id order.
+
+    Starts from the shortest posting list; each longer list, in order of
+    length, keeps those of its ids that are still in the result, so only ids
+    of the shortest list are ever hashed, the result stays in posting order,
+    and the walk stops as soon as nothing is left.
+    """
     toks = _words(" ".join(terms))
     if not toks:
         raise QueryError("query is empty after tokenization")
-    result: set[str] | None = None
-    for token in dict.fromkeys(toks):
-        ids = set(index.postings.get(token, ()))
-        result = ids if result is None else result & ids
+    result, *longer = sorted((index.postings.get(token, ()) for token in dict.fromkeys(toks)), key=len)
+    for ids in longer:
         if not result:
-            return []
-    return sorted(result or set())
+            break
+        result = tuple(filter(set(result).__contains__, ids))
+    return list(result)
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    payload = {
-        "version": index.version,
-        "doc_count": index.doc_count,
-        "postings": {token: list(ids) for token, ids in index.postings.items()},
-    }
+    # json.dumps takes the C encoder, which json.dump never does; tuples encode as arrays
+    payload = {"version": index.version, "doc_count": index.doc_count, "postings": dict(index.postings)}
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def load_index(path: str | Path) -> InvertedIndex:
@@ -86,4 +97,6 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise FormatError(f"{path}: postings for {token!r} are not sorted, unique and <= doc_count")
         _check_word(token, f"{path}: posting key", FormatError)
         postings[token] = tuple(ids)
+    if len(set().union(*postings.values())) > doc_count:
+        raise FormatError(f"{path}: postings name more distinct ids than doc_count {doc_count}")
     return InvertedIndex(postings=postings, doc_count=doc_count)

@@ -11,14 +11,21 @@ applies the rules and in its nearest-word search, ``_nearest_known``, which
 enumerates every string within two ``_edits1`` steps of the token.
 ``oracle_synonym_expand`` is the earlier ``augment.synonym_expand``, which
 tests each token against the ``Thesaurus`` itself rather than its entries.
+``oracle_build_index``, ``oracle_query`` and ``oracle_index_bytes`` are the
+earlier ``discover`` paths: a ``set`` of ids per token sorted at the end, a
+``set`` intersection over every term, and the ``json.dump`` writer.
 """
 
+import io
+import json
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 from captionkit.corpus import Caption, CaptionSource, Corpus
+from captionkit.discover import InvertedIndex
+from captionkit.exceptions import QueryError
 from captionkit.tokens import tokenize
 
 
@@ -218,7 +225,7 @@ def oracle_correct(corpus, rules, prune_duplicates=False):
             toks = _scan_merges(list(tokenize(cap.raw).tokens), rules.merge_patterns)
             toks = [rules.manual_overrides.get(t, t) for t in toks]
             toks = [fix(t) for t in toks]
-            if prune_duplicates:
+            if prune_duplicates and toks:
                 norm = " ".join(toks)
                 if norm in seen_norms:
                     continue
@@ -252,3 +259,40 @@ def oracle_synonym_expand(corpus, thesaurus, replacements_per_caption=1, *, seed
             variants.append(Caption(record.image_id, " ".join(toks), CaptionSource.AUGMENTED))
         records_out.append(replace(record, captions=record.captions + tuple(variants)))
     return Corpus(tuple(records_out), f"{corpus.provenance}-synonym")
+
+
+def oracle_build_index(documents):
+    """``build_index`` as one ``set`` of ids per token, each sorted at the end."""
+    acc = defaultdict(set)
+    for doc_id, text in documents.items():
+        for token in set(tokenize(text).tokens):
+            acc[token].add(doc_id)
+    postings = {token: tuple(sorted(acc[token])) for token in sorted(acc)}
+    return InvertedIndex(postings=postings, doc_count=len(documents))
+
+
+def oracle_query(index, terms):
+    """``query`` as a ``set`` intersection over every distinct term."""
+    toks = tokenize(" ".join(terms)).tokens
+    if not toks:
+        raise QueryError("query is empty after tokenization")
+    result = None
+    for token in dict.fromkeys(toks):
+        ids = set(index.postings.get(token, ()))
+        result = ids if result is None else result & ids
+        if not result:
+            return []
+    return sorted(result or set())
+
+
+def oracle_index_bytes(index):
+    """The bytes ``save_index`` wrote through ``json.dump`` to a text stream."""
+    payload = {
+        "version": index.version,
+        "doc_count": index.doc_count,
+        "postings": {token: list(ids) for token, ids in index.postings.items()},
+    }
+    fh = io.StringIO()
+    json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue().encode("utf-8")

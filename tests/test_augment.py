@@ -106,6 +106,15 @@ def test_prune_is_corpus_wide():
     assert fixed.caption_count() == 2
 
 
+def test_prune_keeps_captions_without_tokens():
+    # '!!' has no tokens, so it duplicates nothing, not even the token-less '...'
+    corpus = corpus_from_documents({"i": ["...", "a beach"], "j": ["!!"]}, "t")
+    rules = CorrectionRules(frozenset({"a", "beach"}))
+    for run in (correct, oracle_correct):
+        fixed = run(corpus, rules, prune_duplicates=True)
+        assert [(c.image_id, c.raw) for c in fixed.captions()] == [("i", "..."), ("i", "a beach"), ("j", "!!")]
+
+
 def test_prune_never_increases_caption_count():
     rng = random.Random(3)
     words = ["a", "beach", "sea", "green", "trees"]

@@ -1,11 +1,15 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from captionkit.discover import INDEX_VERSION, build_index, load_index, query, save_index
 from captionkit.exceptions import FormatError, IndexVersionError, QueryError
 from captionkit.tokens import tokenize
+from oracles import oracle_build_index, oracle_index_bytes, oracle_query
 
 WORDS = ["airport", "river", "bridge", "beach", "green", "trees", "near", "a", "the", "port"]
 
@@ -138,6 +142,15 @@ def test_load_rejects_postings_off_invariant(tmp_path, doc_count, ids):
         load_index(path)
 
 
+def test_load_rejects_more_distinct_ids_than_documents(tmp_path):
+    # each list fits doc_count, but together they name two documents in an index of one
+    path = tmp_path / "idx.json"
+    payload = {"version": INDEX_VERSION, "doc_count": 1, "postings": {"a": ["x"], "b": ["y"]}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ".*doc_count"):
+        load_index(path)
+
+
 @pytest.mark.parametrize("doc_count, postings", [(True, {"ok": ["a"]}), (-1, {})])
 def test_load_rejects_bad_doc_count(tmp_path, doc_count, postings):
     path = tmp_path / "idx.json"
@@ -172,3 +185,88 @@ def test_corrupt_file(tmp_path):
     path.write_text('{"doc_count": 3}', encoding="utf-8")
     with pytest.raises(FormatError):
         load_index(path)
+
+
+# ids and fragments that sort, repeat and tokenize in awkward ways: a fragment
+# may hold no token, one token with edge punctuation, or several tokens
+IDS = st.text(alphabet="ab1Zé_", min_size=1, max_size=3)
+FRAGMENTS = WORDS + ["...", "", "C-Shaped,", "Beach!", "river bridge", "naïve", "a a"]
+TEXTS = st.one_of(st.lists(st.sampled_from(FRAGMENTS), max_size=6).map(" ".join), st.text(max_size=12))
+TERMS = st.lists(
+    st.sampled_from(WORDS + ["absent", "river bridge", "Near,", "a a", "...", "naïve"]), max_size=4
+)
+
+
+@st.composite
+def _documents(draw):
+    """Documents in a drawn insertion order, so the index cannot lean on it."""
+    items = list(draw(st.dictionaries(IDS, TEXTS, max_size=12)).items())
+    return dict(draw(st.permutations(items)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(), st.lists(TERMS, max_size=5))
+def test_index_and_queries_match_set_oracle(documents, queries):
+    index, expected = build_index(documents), oracle_build_index(documents)
+    # dict equality ignores order; the saved file does not
+    assert list(index.postings.items()) == list(expected.postings.items())
+    assert index == expected
+    for terms in queries:
+        try:
+            want = oracle_query(expected, terms)
+        except QueryError:
+            with pytest.raises(QueryError):
+                query(index, terms)
+        else:
+            assert query(index, terms) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents())
+def test_saved_bytes_match_stream_writer(tmp_path_factory, documents):
+    index = build_index(documents)
+    path = tmp_path_factory.getbasetemp() / "hypothesis-idx.json"
+    save_index(index, path)
+    assert path.read_bytes() == oracle_index_bytes(index)
+    assert load_index(path) == index
+
+
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False), st.text(max_size=3)
+)
+_IDS = st.one_of(
+    st.lists(st.sampled_from(["x", "y", "z"]), max_size=4),  # often unsorted or repeated
+    st.lists(_ANY, max_size=3),
+    _ANY,
+)
+_KEYS = st.one_of(
+    st.sampled_from(["a", "beach", "Beach", "a b", "", "c-shaped", "beach."]), st.text(max_size=4)
+)
+_PAYLOADS = st.one_of(
+    _ANY,
+    st.lists(_ANY, max_size=2),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "version": st.one_of(st.just(INDEX_VERSION), _ANY),
+            "doc_count": st.one_of(st.integers(-1, 4), _ANY),
+            "postings": st.one_of(st.dictionaries(_KEYS, _IDS, max_size=4), _ANY),
+        },
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_load_fuzz_raises_only_index_errors(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "hypothesis-fuzz.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        index = load_index(path)
+    except (FormatError, IndexVersionError):
+        return
+    # whatever loads meets the contract that query relies on
+    for token, ids in index.postings.items():
+        assert tokenize(token).tokens == (token,)
+        assert list(ids) == sorted(set(ids))
+    assert len(set().union(*index.postings.values())) <= index.doc_count
