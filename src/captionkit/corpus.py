@@ -59,7 +59,7 @@ class Caption:
     def __post_init__(self) -> None:
         if not self.image_id:
             raise ValidationError("caption with empty image_id")
-        if not self.raw.strip():
+        if not isinstance(self.raw, str) or not self.raw.strip():
             raise ValidationError(f"empty caption for image {self.image_id!r}")
 
 
@@ -73,8 +73,6 @@ class ImageRecord:
     scene_class: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.image_id:
-            raise ValidationError("record with empty image_id")
         if not self.captions:
             raise ValidationError(f"record {self.image_id!r} has no captions")
         for cap in self.captions:
@@ -157,9 +155,21 @@ def _map_split(value: object) -> Split:
     return Split(_SPLIT_ALIASES.get(value.strip().lower(), "unassigned"))
 
 
+@contextmanager
+def _open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file; a byte that is not UTF-8 raises ``FormatError`` naming its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        lines = enumerate(Path(path).read_bytes().splitlines(), start=1)  # split as text mode splits
+        lineno = next(n for n, raw in lines if raw.decode("utf-8", "ignore").encode() != raw)
+        raise FormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+
+
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line_number, line) for each non-blank line of a UTF-8 text file."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 yield lineno, line
@@ -215,7 +225,7 @@ def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequenc
 
 def read_json(path: str | Path) -> object:
     """Parse a whole JSON file; a syntax error becomes ``FormatError`` naming line and column."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -232,63 +242,58 @@ def _jsonl_values(path: Path) -> Iterator[tuple[str, object]]:
         yield f"{path}: line {lineno}", value
 
 
-def _require_str(obj: dict, key: str, where: str) -> str:
+def _require_str(obj: dict, key: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value.strip():
-        raise ValidationError(f"{where}: missing or empty {key!r} field")
+        raise ValidationError(f"missing or empty {key!r} field")
     return value
 
 
-def _by_id(entries: Iterable, id_key: str, build: Callable[[dict, str, str], _T]) -> dict[str, _T]:
+def _by_id(entries: Iterable, id_key: str, build: Callable[[dict, str], _T]) -> dict[str, _T]:
     """Key each (location, JSON object) entry by its lower-cased ``id_key``, in file order.
 
-    ``build(obj, image_id, where)`` makes the item. The first fault raises, naming its
-    location: a non-object, a missing id, what ``build`` rejects, or a repeated id.
+    ``build(obj, image_id)`` makes the item. The first fault raises, and only here is
+    its location prefixed: a non-object, a missing id, what ``build`` or the model
+    types reject, or a repeated id.
     """
     items: dict[str, _T] = {}
     for where, obj in entries:
-        if not isinstance(obj, dict):
-            raise FormatError(f"{where}: expected a JSON object")
-        image_id = _require_str(obj, id_key, where).strip().lower()
-        item = build(obj, image_id, where)
-        if image_id in items:
-            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
+        try:
+            if not isinstance(obj, dict):
+                raise FormatError("expected a JSON object")
+            image_id = _require_str(obj, id_key).strip().lower()
+            item = build(obj, image_id)
+            if image_id in items:
+                raise ValidationError(f"duplicate image_id {image_id!r}")
+        except (FormatError, ValidationError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
         items[image_id] = item
     return items
 
 
-def _sentence_raw(sentence: object, where: str) -> object:
+def _sentence_raw(sentence: object) -> object:
     if not isinstance(sentence, dict) or not isinstance(sentence.get("raw"), str):
-        raise FormatError(f"{where}: each sentence needs a string 'raw' field")
+        raise FormatError("each sentence needs a string 'raw' field")
     return sentence["raw"]
 
 
 # Per caption format: image id, caption list and scene keys, and a caption item's text.
-_RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[object, str], object]]] = {
-    "jsonl": ("image_id", "captions", "scene", lambda item, where: item),
+_RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[object], object]]] = {
+    "jsonl": ("image_id", "captions", "scene", lambda item: item),
     "rsicd_json": ("filename", "sentences", "class", _sentence_raw),
 }
 
 
-def _record(obj: dict, image_id: str, where: str, format: str) -> ImageRecord:
+def _record(obj: dict, image_id: str, format: str) -> ImageRecord:
+    """Map one entry's fields onto an ``ImageRecord``, whose types judge the values."""
     _, list_key, scene_key, text_of = _RECORD_FIELDS[format]
     items = obj.get(list_key)
-    if not isinstance(items, list) or not items:
-        raise ValidationError(f"{where}: missing or empty {list_key!r} list")
-    captions = []
-    for item in items:
-        text = text_of(item, where)
-        if not isinstance(text, str) or not text.strip():
-            raise ValidationError(f"{where}: empty caption for image {image_id!r}")
-        captions.append(Caption(image_id, text))
+    if not isinstance(items, list):
+        raise ValidationError(f"missing or empty {list_key!r} list")
+    captions = tuple(Caption(image_id, text_of(item)) for item in items)
     scene = obj.get(scene_key)
     scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
-    return ImageRecord(
-        image_id=image_id,
-        captions=tuple(captions),
-        split=_map_split(obj.get("split")),
-        scene_class=scene_class,
-    )
+    return ImageRecord(image_id, captions, _map_split(obj.get("split")), scene_class)
 
 
 def ingest_captions(
@@ -335,11 +340,11 @@ def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:
         fh.writelines(jsonl_lines(corpus))
 
 
-def _label(obj: dict, image_id: str, where: str) -> LabelRecord:
-    scene = _require_str(obj, "scene", where).strip().lower()
+def _label(obj: dict, image_id: str) -> LabelRecord:
+    scene = _require_str(obj, "scene").strip().lower()
     raw_objects = obj.get("objects", [])
     if not isinstance(raw_objects, list):
-        raise FormatError(f"{where}: 'objects' must be a list")
+        raise FormatError("'objects' must be a list")
     objects = frozenset(
         name.strip().lower() for name in raw_objects if isinstance(name, str) and name.strip()
     )
@@ -359,11 +364,9 @@ def ingest_predictions(path: str | Path) -> PredictionSet:
 
     An empty file is valid. The first faulty line in file order raises, naming its ``line N``.
     """
-
-    def caption(obj: dict, image_id: str, where: str) -> str:
-        return _require_str(obj, "caption", where)
-
-    return PredictionSet(_by_id(_jsonl_values(Path(path)), "image_id", caption))
+    return PredictionSet(
+        _by_id(_jsonl_values(Path(path)), "image_id", lambda obj, _: _require_str(obj, "caption"))
+    )
 
 
 def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:

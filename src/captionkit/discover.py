@@ -79,7 +79,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     payload = read_json(path)
     if not isinstance(payload, dict) or "version" not in payload:
         raise FormatError(f"{path}: not an index file (missing 'version')")
-    if payload["version"] != INDEX_VERSION:
+    if type(payload["version"]) is not int or payload["version"] != INDEX_VERSION:
         raise IndexVersionError(
             f"{path}: index version {payload['version']!r} is not supported (expected {INDEX_VERSION})"
         )

@@ -50,15 +50,16 @@ def profile(corpus: Corpus) -> VocabularyProfile:
     if not corpus.records:
         raise DegenerateInputError("cannot profile an empty corpus")
     freq: Counter[str] = Counter()
-    norms_seen: set[str] = set()
+    norms_seen: set[object] = set()
     total_captions = 0
     within_image_duplicates = 0
     for record in corpus.records:
-        record_norms: set[str] = set()
+        record_norms: set[object] = set()
         for cap in record.captions:
             toks = _words(cap.raw)
             freq.update(toks)
-            norm = " ".join(toks)
+            # a caption without tokens duplicates nothing, so its key equals no other key
+            norm = " ".join(toks) or object()
             norms_seen.add(norm)
             if norm in record_norms:
                 within_image_duplicates += 1

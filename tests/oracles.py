@@ -14,6 +14,9 @@ tests each token against the ``Thesaurus`` itself rather than its entries.
 ``oracle_build_index``, ``oracle_query`` and ``oracle_index_bytes`` are the
 earlier ``discover`` paths: a ``set`` of ids per token sorted at the end, a
 ``set`` intersection over every term, and the ``json.dump`` writer.
+``oracle_ingest`` is the earlier keyed-entry loop of the ``ingest_*``
+functions, whose builders each wrote the entry's location into their own
+messages and checked caption text before building a ``Caption``.
 """
 
 import io
@@ -22,10 +25,22 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
-from captionkit.corpus import Caption, CaptionSource, Corpus
+from captionkit.corpus import (
+    Caption,
+    CaptionSource,
+    Corpus,
+    ImageRecord,
+    LabelRecord,
+    PredictionSet,
+    _jsonl_values,
+    _map_split,
+    read_json,
+)
 from captionkit.discover import InvertedIndex
-from captionkit.exceptions import QueryError
+from captionkit.exceptions import FormatError, QueryError, ValidationError
 from captionkit.tokens import tokenize
 
 
@@ -296,3 +311,84 @@ def oracle_index_bytes(index):
     json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
     fh.write("\n")
     return fh.getvalue().encode("utf-8")
+
+
+def _oracle_require_str(obj, key, where):
+    value = obj.get(key)
+    if not isinstance(value, str) or not value.strip():
+        raise ValidationError(f"{where}: missing or empty {key!r} field")
+    return value
+
+
+def _oracle_by_id(entries, id_key, build):
+    items = {}
+    for where, obj in entries:
+        if not isinstance(obj, dict):
+            raise FormatError(f"{where}: expected a JSON object")
+        image_id = _oracle_require_str(obj, id_key, where).strip().lower()
+        item = build(obj, image_id, where)
+        if image_id in items:
+            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
+        items[image_id] = item
+    return items
+
+
+def _oracle_sentence_raw(sentence, where):
+    if not isinstance(sentence, dict) or not isinstance(sentence.get("raw"), str):
+        raise FormatError(f"{where}: each sentence needs a string 'raw' field")
+    return sentence["raw"]
+
+
+_ORACLE_RECORD_FIELDS = {
+    "jsonl": ("image_id", "captions", "scene", lambda item, where: item),
+    "rsicd_json": ("filename", "sentences", "class", _oracle_sentence_raw),
+}
+
+
+def _oracle_record(obj, image_id, where, format):
+    _, list_key, scene_key, text_of = _ORACLE_RECORD_FIELDS[format]
+    items = obj.get(list_key)
+    if not isinstance(items, list) or not items:
+        raise ValidationError(f"{where}: missing or empty {list_key!r} list")
+    captions = []
+    for item in items:
+        text = text_of(item, where)
+        if not isinstance(text, str) or not text.strip():
+            raise ValidationError(f"{where}: empty caption for image {image_id!r}")
+        captions.append(Caption(image_id, text))
+    scene = obj.get(scene_key)
+    scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
+    return ImageRecord(image_id, tuple(captions), _map_split(obj.get("split")), scene_class)
+
+
+def _oracle_label(obj, image_id, where):
+    scene = _oracle_require_str(obj, "scene", where).strip().lower()
+    raw_objects = obj.get("objects", [])
+    if not isinstance(raw_objects, list):
+        raise FormatError(f"{where}: 'objects' must be a list")
+    objects = frozenset(
+        name.strip().lower() for name in raw_objects if isinstance(name, str) and name.strip()
+    )
+    return LabelRecord(image_id, scene, objects)
+
+
+def oracle_ingest(path, kind):
+    """What ``ingest_captions`` (``kind`` "jsonl" or "rsicd_json"), ``ingest_labels``
+    ("labels") or ``ingest_predictions`` ("predictions") returned or raised."""
+    path = Path(path)
+    if kind == "rsicd_json":
+        payload = read_json(path)
+        images = payload.get("images") if isinstance(payload, dict) else None
+        if not isinstance(images, list):
+            raise FormatError(f"{path}: expected a top-level object with an 'images' list")
+        entries = ((f"{path}: images[{i}]", entry) for i, entry in enumerate(images))
+    else:
+        entries = _jsonl_values(path)
+    if kind == "labels":
+        return tuple(_oracle_by_id(entries, "image_id", _oracle_label).values())
+    if kind == "predictions":
+        return PredictionSet(
+            _oracle_by_id(entries, "image_id", lambda obj, image_id, where: _oracle_require_str(obj, "caption", where))
+        )
+    records = _oracle_by_id(entries, _ORACLE_RECORD_FIELDS[kind][0], partial(_oracle_record, format=kind))
+    return Corpus(tuple(records.values()), path.stem)

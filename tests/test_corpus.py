@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from captionkit.augment import load_dictionary
 from captionkit.corpus import (
     Caption,
     CaptionSource,
@@ -13,6 +16,7 @@ from captionkit.corpus import (
     validate,
     write_captions_jsonl,
 )
+from captionkit.discover import load_index
 from captionkit.exceptions import FormatError, ValidationError
 from conftest import write_jsonl
 
@@ -69,6 +73,24 @@ def test_rsicd_parse_failure_position(tmp_path):
     path.write_text('{"images": [,]}', encoding="utf-8")
     with pytest.raises(FormatError, match="column"):
         ingest_captions(path, "rsicd_json")
+
+
+@pytest.mark.parametrize(
+    "load, content, line",
+    [
+        # CRLF and a lone CR each end one line, as text mode reads them
+        (lambda path: ingest_captions(path, "jsonl"), b'\r\n{"image_id": "a"\r, "captions": ["\xff"]}\n', 3),
+        (lambda path: ingest_captions(path, "rsicd_json"), b'{"images":\r\n [\r{"raw": "caf\xc3"}]}', 3),
+        (load_dictionary, b"beach\rsea\n\xed\xa0\x80\n", 3),
+        (load_index, b"\xff", 1),
+    ],
+    ids=["jsonl", "rsicd_json", "dictionary", "index"],
+)
+def test_bytes_not_utf8_name_file_and_line(tmp_path, load, content, line):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line {line}: not UTF-8 (")):
+        load(path)
 
 
 def test_duplicate_image_id_named(tmp_path):
@@ -152,6 +174,11 @@ def test_record_invariants():
         Caption("i1", "   ")
     with pytest.raises(ValidationError):
         ImageRecord("i1", (Caption("other", "text"),))
+    # ingest builds records straight from these checks, so they must hold for any JSON value
+    with pytest.raises(ValidationError, match="empty caption"):
+        Caption("i1", 42)
+    with pytest.raises(ValidationError, match="has no captions"):
+        ImageRecord("", ())
 
 
 def test_ingest_labels(data_dir):

@@ -177,6 +177,16 @@ def test_version_mismatch(tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize("version", [True, float(INDEX_VERSION), str(INDEX_VERSION)])
+def test_version_must_be_the_integer(tmp_path, version):
+    # True == 1 == 1.0, so an equality test alone would load these as version 1
+    path = tmp_path / "idx.json"
+    payload = {"version": version, "doc_count": 1, "postings": {"a": ["x"]}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(IndexVersionError, match=re.escape(str(path))):
+        load_index(path)
+
+
 def test_corrupt_file(tmp_path):
     path = tmp_path / "idx.json"
     path.write_text("{not json", encoding="utf-8")

@@ -104,6 +104,13 @@ PARSED = [
         EDGE_CORPUS,
     ),
     (
+        "jsonl-lone-cr",
+        _jsonl_corpus,
+        b'\r{"image_id": " IMG_1.JPG ", "split": "val", "scene": "airport", "captions": ["A Plane.", '
+        b'"  padded  "]}\r\r{"image_id": "b", "captions": ["x"]}',
+        EDGE_CORPUS,
+    ),
+    (
         "rsicd_json",
         _rsicd_corpus,
         _rsicd(

@@ -51,6 +51,15 @@ def test_normalized_duplicates_counted():
     assert prof.within_image_duplicate_captions == 1  # only i1's second copy
 
 
+def test_captions_without_tokens_duplicate_nothing():
+    # as in augment correct --prune-duplicates: "..." and "!!" are not copies of each other
+    prof = profile(corpus_from_documents({"i": ["...", "a beach", "?"], "j": ["!!", "A beach."]}, "t"))
+    assert prof.total_captions == 5
+    assert prof.unique_captions == 4
+    assert prof.duplicate_captions == 1
+    assert prof.within_image_duplicate_captions == 0
+
+
 def test_profile_rejects_empty_corpus():
     from captionkit.corpus import Corpus
 
