@@ -75,16 +75,16 @@ def _grams(tokens: TokenSeq, max_order: int) -> Iterator[tuple[str, ...]]:
 def _stats(cand: TokenSeq, refs: Sequence[TokenSeq], max_order: int) -> list[int]:
     """One sentence's vector: matches and totals for orders 1..max_order, then c and r."""
     # each candidate n-gram count is clipped at its maximum count in any one reference;
-    # only the grams the candidate holds can raise that maximum, so only those are counted
+    # only the grams the candidate holds can raise that maximum, so only those are kept,
+    # and a gram the candidate holds once clips at 1 in whichever reference holds it
     counts = Counter(_grams(cand, max_order))
-    max_ref: dict = {}
-    for ref in refs:
-        for gram, ref_count in Counter(filter(counts.__contains__, _grams(ref, max_order))).items():
-            if ref_count > max_ref.get(gram, 0):
-                max_ref[gram] = ref_count
+    ref_grams = [list(filter(counts.__contains__, _grams(ref, max_order))) for ref in refs]
     matches = [0] * (max_order + 1)
-    for gram, ref_count in max_ref.items():
-        matches[len(gram)] += min(counts[gram], ref_count)
+    for gram in set(chain.from_iterable(ref_grams)):
+        n = counts[gram]
+        if n > 1:
+            n = min(n, max(grams.count(gram) for grams in ref_grams))
+        matches[len(gram)] += n
     c = len(cand)
     stats: list[int] = []
     for n in range(1, max_order + 1):

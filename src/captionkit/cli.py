@@ -14,7 +14,7 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import augment as aug
 from . import bleu as bleu_mod
@@ -45,6 +45,9 @@ CAPTIONS_SCHEMA = (
 LABELS_SCHEMA = 'labels jsonl: {"image_id": str, "scene": str, "objects": [str, ...]}'
 PREDICTIONS_SCHEMA = 'predictions jsonl: {"image_id": str, "caption": str}'
 
+_R = TypeVar("_R")
+
+
 def _emit(output: dict | Iterable[str], out: str | None) -> None:
     """Write a JSON report (a dict) or text chunks to stdout, or atomically to ``out``."""
     if isinstance(output, dict):
@@ -55,6 +58,14 @@ def _emit(output: dict | Iterable[str], out: str | None) -> None:
 
 def _corpus(args: argparse.Namespace) -> Corpus:
     return ingest_captions(args.captions, args.format)
+
+
+def _measure(path: str, stage: Callable[[Corpus], _R], corpus: Corpus) -> _R:
+    """``stage(corpus)``; a corpus the stage cannot measure names ``path`` in its error."""
+    try:
+        return stage(corpus)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"{path}: {exc}") from exc
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -76,7 +87,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    prof = vocabstats.profile(_corpus(args))
+    prof = _measure(args.captions, vocabstats.profile, _corpus(args))
     payload = prof.to_dict()
     if args.top_k is not None:
         payload["top_k"] = {"k": args.top_k, **vocabstats.top_k_coverage(prof, args.top_k)._asdict()}
@@ -101,10 +112,10 @@ def _format_table(columns: list[tuple[str, read_mod.ReadabilityReport]]) -> str:
 
 
 def cmd_readability(args: argparse.Namespace) -> int:
-    reports = [(args.captions, read_mod.report(_corpus(args)))]
+    reports = [(args.captions, _measure(args.captions, read_mod.report, _corpus(args)))]
     if args.compare:
         other = ingest_captions(args.compare, args.compare_format)
-        reports.append((args.compare, read_mod.report(other)))
+        reports.append((args.compare, _measure(args.compare, read_mod.report, other)))
     if args.compare or args.table:
         sys.stdout.write(_format_table(reports))
         if args.out:
@@ -120,7 +131,7 @@ def cmd_bleu(args: argparse.Namespace) -> int:
     overall, per_image, missing = bleu_mod.score_predictions(predictions, references)
     reason = f"{len(missing)} ids missing from references, the rest without tokens"
     if not per_image:
-        raise DegenerateInputError(f"no prediction could be scored: {reason}")
+        raise DegenerateInputError(f"{args.predictions}: no prediction could be scored: {reason}")
     if len(per_image) < len(predictions):
         print(f"warning: {len(predictions) - len(per_image)} predictions skipped: {reason}", file=sys.stderr)
     report = overall.to_dict()

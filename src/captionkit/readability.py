@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .corpus import Corpus
 from .exceptions import DegenerateInputError
-from .tokens import split_sentences, tokenize
+from .tokens import _alnum_count, _words, split_sentences
 
 _VOWELS = frozenset("aeiouy")
 
@@ -99,13 +100,10 @@ def report_from_aggregates(
 
 def report(corpus: Corpus) -> ReadabilityReport:
     """Compute the full readability panel over every caption in the corpus."""
-    characters = sentences = 0
-    counts: Counter[str] = Counter()
-    for cap in corpus.captions():
-        sentence = tokenize(cap.raw)
-        characters += sentence.char_count
-        counts.update(sentence.tokens)
-        sentences += len(split_sentences(cap.raw))
+    texts = [cap.raw for cap in corpus.captions()]
+    counts = Counter(chain.from_iterable(map(_words, texts)))
+    characters = sum(map(_alnum_count, texts))
+    sentences = sum(len(split_sentences(text)) for text in texts)
     words = counts.total()
     syllables = complex_words = 0
     for tok, count in counts.items():

@@ -10,6 +10,16 @@ processed by the same rules:
 - internal hyphens and apostrophes kept ("c-shaped" and "it's" are one token)
 - pure digit runs kept as tokens
 
+The grammar has two kernels, picked per text by ``str.isascii``. ASCII text,
+every caption of an RSICD-style corpus, is split with ``str.split`` and each
+chunk stripped with ``str.strip(_ASCII_EDGE)``: a chunk holds no whitespace,
+so stripping the ASCII characters that are neither letters, digits nor
+whitespace strips exactly its non-alphanumeric ends. Any other text goes
+through the regex ``_TOKEN``, whose classes ``[^\\W_]`` and ``\\s`` accept
+exactly what ``str.isalnum`` and ``str.isspace`` do on every code point, so
+no strip set has to list the non-ASCII characters. ``_alnum_count`` picks the
+same way between deleting the non-alphanumeric bytes and testing each character.
+
 The grammar has two entry points. ``tokenize`` adds the count of letters and
 digits that readability reports; the stages that read only the tokens call
 ``_words``, which skips that count. ``_check_word`` is the one test of a word
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from .exceptions import ValidationError
 
@@ -27,6 +38,9 @@ _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
 # One whitespace-delimited chunk from its first to its last letter or digit:
 # [^\W_] accepts exactly what str.isalnum does, \s exactly what str.isspace does.
 _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
+_ASCII = tuple(map(chr, range(128)))
+_ASCII_EDGE = "".join(ch for ch in _ASCII if not ch.isalnum() and not ch.isspace())
+_ASCII_NOT_ALNUM = "".join(ch for ch in _ASCII if not ch.isalnum()).encode()
 
 
 @dataclass(frozen=True)
@@ -39,7 +53,19 @@ class TokenizedSentence:
 
 def _words(text: str) -> tuple[str, ...]:
     """The grammar itself: ``tokenize(text).tokens`` without the character count."""
+    if text.isascii():
+        # through a list: tuple() of an iterator guesses a length and resizes, and the tuples
+        # it frees then pile up on CPython's per-length free lists (+1.4 MiB peak RSS in
+        # `augment synonym` over 54,605 captions)
+        return tuple(list(filter(None, map(str.strip, text.lower().split(), repeat(_ASCII_EDGE)))))
     return tuple(_TOKEN.findall(text.lower()))
+
+
+def _alnum_count(text: str) -> int:
+    """The number of letters and digits in ``text``."""
+    if text.isascii():
+        return len(text.encode().translate(None, _ASCII_NOT_ALNUM))
+    return sum(map(str.isalnum, text))
 
 
 def _check_word(word: str, what: str, error: type[Exception] = ValidationError) -> None:
@@ -53,7 +79,7 @@ def tokenize(text: str) -> TokenizedSentence:
 
     Empty or whitespace-only text yields an empty token sequence.
     """
-    return TokenizedSentence(_words(text), sum(map(str.isalnum, text)))
+    return TokenizedSentence(_words(text), _alnum_count(text))
 
 
 def split_sentences(text: str) -> list[str]:

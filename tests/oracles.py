@@ -17,6 +17,10 @@ earlier ``discover`` paths: a ``set`` of ids per token sorted at the end, a
 ``oracle_ingest`` is the earlier keyed-entry loop of the ``ingest_*``
 functions, whose builders each wrote the entry's location into their own
 messages and checked caption text before building a ``Caption``.
+``oracle_readability`` is the earlier per-caption loop of
+``readability.report``, over ``oracle_tokens`` and a per-character count.
+``oracle_stats_max`` is the earlier ``bleu._stats``, which counted each
+reference's shared grams in a ``Counter`` and kept the maximum per gram.
 """
 
 import io
@@ -26,6 +30,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from captionkit.corpus import (
@@ -40,8 +45,14 @@ from captionkit.corpus import (
     read_json,
 )
 from captionkit.discover import InvertedIndex
-from captionkit.exceptions import FormatError, QueryError, ValidationError
-from captionkit.tokens import tokenize
+from captionkit.exceptions import DegenerateInputError, FormatError, QueryError, ValidationError
+from captionkit.readability import (
+    COMPLEX_SYLLABLES,
+    ReadabilityReport,
+    count_syllables,
+    report_from_aggregates,
+)
+from captionkit.tokens import split_sentences, tokenize
 
 
 def _ngrams(seq, n):
@@ -108,6 +119,31 @@ def oracle_stats(cand, refs, max_order):
     return stats
 
 
+def _oracle_grams(tokens, max_order):
+    shifted = [tokens[i:] for i in range(max_order)]
+    return chain.from_iterable(zip(*shifted[:n]) for n in range(1, max_order + 1))
+
+
+def oracle_stats_max(cand, refs, max_order):
+    """The earlier one-pass sentence vector: a ``Counter`` of each reference's
+    grams that the candidate holds, and the maximum count per gram."""
+    counts = Counter(_oracle_grams(cand, max_order))
+    max_ref = {}
+    for ref in refs:
+        for gram, ref_count in Counter(filter(counts.__contains__, _oracle_grams(ref, max_order))).items():
+            if ref_count > max_ref.get(gram, 0):
+                max_ref[gram] = ref_count
+    matches = [0] * (max_order + 1)
+    for gram, ref_count in max_ref.items():
+        matches[len(gram)] += min(counts[gram], ref_count)
+    c = len(cand)
+    stats = []
+    for n in range(1, max_order + 1):
+        stats += [matches[n], max(0, c - n + 1)]
+    stats += [c, min((len(ref) for ref in refs), key=lambda r: (abs(r - c), r))]
+    return stats
+
+
 def _keyword_hit(trigger, tokens, fold_plural_s):
     # equal tokens match; with folding, forms differing by one trailing 's' match
     for token in tokens:
@@ -170,6 +206,32 @@ def oracle_tokens(text):
         if start < end:
             tokens.append(chunk[start:end])
     return tuple(tokens)
+
+
+def oracle_readability(corpus):
+    """The earlier per-caption readability loop: tokenize each caption, add its
+    letters and digits, update one ``Counter`` and count its sentences."""
+    characters = sentences = 0
+    counts = Counter()
+    for cap in corpus.captions():
+        characters += sum(1 for ch in cap.raw if ch.isalnum())
+        counts.update(oracle_tokens(cap.raw))
+        sentences += len(split_sentences(cap.raw))
+    words = counts.total()
+    syllables = complex_words = 0
+    for tok, count in counts.items():
+        n = count_syllables(tok)
+        syllables += n * count
+        if n >= COMPLEX_SYLLABLES:
+            complex_words += count
+    if words == 0 or sentences == 0:
+        raise DegenerateInputError("corpus has no words or no sentences")
+    words_per_sentence = words / sentences
+    syllables_per_word = syllables / words
+    complex_pct = 100.0 * complex_words / words
+    fog, flesch, fk = report_from_aggregates(words_per_sentence, syllables_per_word, complex_pct)
+    return ReadabilityReport(characters, words, len(counts), complex_pct, syllables_per_word,
+                             sentences, words_per_sentence, fog, flesch, fk)
 
 
 def _edits1(word, alphabet):

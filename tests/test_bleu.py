@@ -16,7 +16,7 @@ from captionkit.bleu import (
 from captionkit.corpus import PredictionSet, corpus_from_documents
 from captionkit.exceptions import DegenerateInputError
 from captionkit.tokens import tokenize
-from oracles import oracle_bleu, oracle_stats
+from oracles import oracle_bleu, oracle_stats, oracle_stats_max
 
 ALPHABET = ["a", "b", "c", "d", "e"]
 
@@ -148,6 +148,19 @@ three_words = st.lists(st.sampled_from("xyz"), max_size=9)
 @given(cand=three_words.filter(bool), refs=st.lists(three_words, min_size=1, max_size=5))
 def test_sentence_stats_match_per_order_oracle(max_order, cand, refs):
     assert _stats(cand, refs, max_order) == oracle_stats(cand, refs, max_order)
+
+
+# a short stretch repeated two or three times, so the candidate holds grams
+# more than once and the clip depends on the references' counts
+repeated = st.tuples(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3), st.integers(2, 3)).map(
+    lambda pair: pair[0] * pair[1]
+)
+
+
+@pytest.mark.parametrize("max_order", range(1, 7))
+@given(cand=repeated | three_words.filter(bool), refs=st.lists(three_words, min_size=2, max_size=5))
+def test_sentence_stats_match_earlier_one_pass_counting(max_order, cand, refs):
+    assert _stats(cand, refs, max_order) == oracle_stats_max(cand, refs, max_order)
 
 
 def _as_oracle(result):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from captionkit import tokens
 from captionkit.cli import build_parser, run
 from conftest import write_jsonl
 
@@ -561,6 +562,60 @@ def test_bleu_that_scores_nothing_exits_2(tmp_path, corpus_file, capsys):
     assert captured.out == ""
     assert "no prediction could be scored: 1 ids missing" in captured.err
     assert not per_image.exists()
+
+
+def test_empty_corpus_stats_error_names_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    assert run(["stats", "--captions", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: cannot profile an empty corpus\n"
+
+
+def test_wordless_corpus_readability_error_names_the_file(tmp_path, corpus_file, capsys):
+    dots = write_jsonl(tmp_path / "dots.jsonl", [{"image_id": "i1", "captions": ["..."]}])
+    message = f"error: {dots}: corpus has no words or no sentences\n"
+    assert run(["readability", "--captions", str(dots)]) == 2
+    assert capsys.readouterr().err == message
+    assert run(["readability", "--captions", corpus_file, "--compare", str(dots)]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_bleu_that_scores_nothing_names_the_predictions(tmp_path, corpus_file, capsys):
+    preds = write_jsonl(tmp_path / "preds.jsonl", [{"image_id": "ghost", "caption": "a plane"}])
+    assert run(["bleu", "--predictions", str(preds), "--references", corpus_file]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {preds}: no prediction could be scored: ")
+
+
+class _CountedPattern:
+    """A compiled pattern that counts every use of it."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.pattern, name)
+
+
+@pytest.mark.parametrize("non_ascii_captions", [0, 1])
+def test_only_non_ascii_text_reaches_the_token_regex(tmp_path, data_dir, monkeypatch, capsys,
+                                                     non_ascii_captions):
+    rows = [json.loads(line) for line in (data_dir / "captions_3x5.jsonl").read_text().splitlines()]
+    if non_ascii_captions:
+        rows[2]["captions"][0] = "A bridge crosses the wide river\u2026"
+    captions = str(write_jsonl(tmp_path / "captions.jsonl", rows))
+    predictions = str(data_dir / "predictions_3.jsonl")
+    pattern = tokens._TOKEN
+    for argv in (
+        ["stats", "--captions", captions],
+        ["readability", "--captions", captions],
+        ["bleu", "--predictions", predictions, "--references", captions],
+        ["index", "build", "--captions", captions, "--out", str(tmp_path / "index.json")],
+    ):
+        counted = _CountedPattern(pattern)
+        monkeypatch.setattr(tokens, "_TOKEN", counted)
+        assert run(argv) == 0, capsys.readouterr().err
+        assert counted.calls == non_ascii_captions, argv
 
 
 def test_backtranslate_workers_option(corpus_file, tmp_path, capsys):

@@ -17,6 +17,7 @@ from captionkit.readability import (
     report_from_aggregates,
 )
 from captionkit.tokens import split_sentences, tokenize
+from oracles import oracle_readability
 
 # frozen outputs of the vowel-group heuristic (regression fixtures)
 SYLLABLE_FIXTURES = {
@@ -216,3 +217,22 @@ def test_syllables_counted_once_per_token_type(monkeypatch):
     assert set(calls.values()) == {1}
     assert rep.unique_words == len(distinct)
     assert rep.words > len(distinct)
+
+
+# ASCII pieces next to ones that take the regex kernel: a capital dotted I that
+# lower-cases to two characters, a capital sigma, a no-break space and an ellipsis
+PIECES = ["a", "Beach", "residential", "c-shaped", "it's", "3", ".", "!", " ", "_", "\x1c",
+          "\u0130stanbul", "\u039f\u0394\u039f\u03a3", "\u00a0", "\u2026", "na\u00efve"]
+caption_text = st.lists(st.sampled_from(PIECES), min_size=1, max_size=10).map("".join).filter(str.strip)
+
+
+@given(st.lists(st.lists(caption_text, min_size=1, max_size=4), min_size=1, max_size=6))
+def test_report_matches_per_caption_loop(documents):
+    corpus = corpus_from_documents({f"i{i}": texts for i, texts in enumerate(documents)}, "mixed")
+    try:
+        expected = oracle_readability(corpus)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            report(corpus)
+    else:
+        assert report(corpus) == expected

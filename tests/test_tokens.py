@@ -5,7 +5,7 @@ import sys
 from hypothesis import given
 from hypothesis import strategies as st
 
-from captionkit.tokens import _words, split_sentences, tokenize
+from captionkit.tokens import _TOKEN, _alnum_count, _words, split_sentences, tokenize
 from oracles import oracle_tokens
 
 printable = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60)
@@ -59,6 +59,14 @@ def test_tokens_match_per_character_oracle(text):
 @given(st.text() | printable)
 def test_words_is_tokenize_without_char_count(text):
     assert _words(text) == tokenize(text).tokens == oracle_tokens(text)
+
+
+# every ASCII character, controls included: \x00, the separators \x1c-\x1f
+# (whitespace to str.split) and \x7f
+@given(st.text(alphabet=st.characters(max_codepoint=127)))
+def test_ascii_kernel_matches_regex_and_per_character_oracles(text):
+    assert _words(text) == oracle_tokens(text) == tuple(_TOKEN.findall(text.lower()))
+    assert _alnum_count(text) == tokenize(text).char_count == sum(1 for ch in text if ch.isalnum())
 
 
 def test_regex_classes_match_str_predicates_on_every_code_point():
