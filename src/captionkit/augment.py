@@ -258,7 +258,7 @@ def synonym_expand(
     if not len(thesaurus):
         raise ConfigurationError("thesaurus is empty")
     if replacements_per_caption < 1:
-        raise ValueError("replacements_per_caption must be >= 1")
+        raise ConfigurationError("replacements_per_caption must be >= 1")
     rng = random.Random(seed)
     entries = thesaurus.entries
     seen_norms: set[str] = set()
@@ -295,13 +295,13 @@ def back_translate(
     Only transient translation failures are retried, with exponential backoff.
     A caption whose round-trip fails is logged and kept without a variant; if
     every caption fails the whole operation errors. Requests run on a pool of
-    ``concurrency`` worker threads (``ValueError`` below one, as for a negative
+    ``concurrency`` worker threads (``ConfigurationError`` below one, as for a negative
     ``max_retries``); output order always follows input order.
     """
     if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
     if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+        raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
     captions = list(corpus.captions())
 
     def roundtrip(cap: Caption) -> str | None:

@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, PredictionSet
-from .exceptions import DegenerateInputError
+from .exceptions import ConfigurationError, DegenerateInputError
 from .tokens import _words
 
 MAX_ORDER = 4
@@ -48,7 +48,7 @@ class BleuResult:
 def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     """Multiset of contiguous n-grams; empty when the sequence is shorter than n."""
     if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
+        raise ConfigurationError(f"n-gram order must be >= 1, got {n}")
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
@@ -56,14 +56,12 @@ def _check_shapes(candidates: Sequence[TokenSeq], references: Sequence[Sequence[
     if not candidates:
         raise DegenerateInputError("no candidates to score")
     if len(candidates) != len(references):
-        raise ValueError(
-            f"{len(candidates)} candidates but {len(references)} reference lists"
-        )
+        raise ConfigurationError(f"{len(candidates)} candidates but {len(references)} reference lists")
     for i, (cand, refs) in enumerate(zip(candidates, references)):
         if not cand:
             raise DegenerateInputError(f"candidate {i} has no tokens")
         if not refs:
-            raise ValueError(f"candidate {i} has no references")
+            raise ConfigurationError(f"candidate {i} has no references")
 
 
 def _grams(tokens: TokenSeq, max_order: int) -> Iterator[tuple[str, ...]]:
@@ -120,7 +118,7 @@ def modified_precision(
     """
     _check_shapes(candidates, references)
     if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
+        raise ConfigurationError(f"n-gram order must be >= 1, got {n}")
     pairs = [_stats(cand, refs, n)[2 * n - 2 : 2 * n] for cand, refs in zip(candidates, references)]
     return sum(m for m, _ in pairs), sum(t for _, t in pairs)
 

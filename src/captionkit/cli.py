@@ -1,9 +1,9 @@
 """Command-line entry point wiring all modules into subcommands.
 
-Exit codes: 0 success, 1 strict-mode validation findings, 2 configuration or
-parse errors. Reports are JSON (sorted keys) on stdout or ``--out``; corpora
-are written as captions JSONL. Stochastic subcommands require an explicit
-``--seed`` so identical invocations give byte-identical outputs.
+Exit codes: 0 success, 1 strict-mode validation findings, 2 a fault of an input or
+option, of the file system or of the output stream; a bug is a traceback. Reports are
+JSON (sorted keys) on stdout or ``--out``; corpora are written as captions JSONL.
+Stochastic subcommands require ``--seed`` so identical invocations give identical bytes.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (CaptionKitError, ValueError, OSError) as exc:
+    except (CaptionKitError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

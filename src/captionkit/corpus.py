@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -22,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, Type
 from .exceptions import FormatError, ValidationError
 
 CAPTION_FORMATS = ("rsicd_json", "jsonl")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a JSON escape of \ud800-\udfff
 
 _T = TypeVar("_T")
 
@@ -155,22 +157,21 @@ def _map_split(value: object) -> Split:
     return Split(_SPLIT_ALIASES.get(value.strip().lower(), "unassigned"))
 
 
-@contextmanager
-def _open_text(path: str | Path) -> Iterator[TextIO]:
-    """Open a UTF-8 text file; a byte that is not UTF-8 raises ``FormatError`` naming its line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        lines = enumerate(Path(path).read_bytes().splitlines(), start=1)  # split as text mode splits
-        lineno = next(n for n, raw in lines if raw.decode("utf-8", "ignore").encode() != raw)
-        raise FormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+def _check_utf8(text: str, path: str | Path, lineno: int) -> None:
+    """Raise at the first byte not UTF-8 in ``text``, read with ``surrogateescape`` from line ``lineno``."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno += exc.object.count(b"\n", 0, exc.start)
+            raise FormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, line) for each non-blank line of a UTF-8 text file."""
-    with _open_text(path) as fh:
+    """Yield (line_number, line) for each non-blank line of a UTF-8 text file, checked in file order."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_utf8(line, path, lineno)
             if line.strip():
                 yield lineno, line
 
@@ -223,23 +224,34 @@ def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequenc
         writer.writerows(rows)
 
 
-def read_json(path: str | Path) -> object:
-    """Parse a whole JSON file; a syntax error becomes ``FormatError`` naming line and column."""
-    with _open_text(path) as fh:
+def _parse(text: str, path: str | Path, lineno: int | None = None) -> object:
+    """JSON ``text``: a whole file or line ``lineno`` of ``path``; every fault is a ``FormatError``."""
+    where = f"{path}: line {lineno}" if lineno else str(path)
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: line {lineno or exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past CPython's digit limit, deep nesting
+        raise FormatError(f"{where}: {exc}") from exc
+    if _SURROGATE_ESCAPE.search(text):  # a pair is one character; a lone half is no UTF-8 text
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+            json.dumps(value, ensure_ascii=False).encode()
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"{where}: not UTF-8 ({exc.reason})") from exc
+    return value
+
+
+def read_json(path: str | Path) -> object:
+    """Parse a whole JSON file, checked for bytes that are not UTF-8 before it is parsed."""
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    _check_utf8(text, path, 1)
+    return _parse(text, path)
 
 
 def _jsonl_values(path: Path) -> Iterator[tuple[str, object]]:
     """Yield (location, parsed value) for each non-blank line."""
     for lineno, line in _lines(path):
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {lineno}, column {exc.colno}: {exc.msg}") from exc
-        yield f"{path}: line {lineno}", value
+        yield f"{path}: line {lineno}", _parse(line, path, lineno)
 
 
 def _require_str(obj: dict, key: str) -> str:

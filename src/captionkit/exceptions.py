@@ -13,8 +13,8 @@ class ValidationError(CaptionKitError):
     """Parsed input violates a data-model invariant (duplicate id, empty caption, ...)."""
 
 
-class ConfigurationError(CaptionKitError):
-    """A required configuration item is missing or unusable."""
+class ConfigurationError(CaptionKitError, ValueError):
+    """A required configuration item or a library argument is missing or unusable."""
 
 
 class DegenerateInputError(CaptionKitError):

@@ -2,9 +2,9 @@
 
 Syllables come from a frozen heuristic (contiguous vowel groups with a silent
 trailing-e rule), so all syllable-dependent numbers are heuristic-relative.
-Syllables are counted once per token type and weighted by the type's count.
-A "complex" word is any token of three or more heuristic syllables; the
-complex-word share still counts occurrences.
+Syllables, letters and digits are counted once per token type and weighted
+by the type's count. A "complex" word is any token of three or more heuristic
+syllables; the complex-word share still counts occurrences.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .corpus import Corpus
-from .exceptions import DegenerateInputError
-from .tokens import _alnum_count, _words, split_sentences
+from .exceptions import ConfigurationError, DegenerateInputError
+from .tokens import _words, split_sentences
 
 _VOWELS = frozenset("aeiouy")
 
@@ -91,7 +91,7 @@ def report_from_aggregates(
     must be positive.
     """
     if words_per_sentence <= 0 or syllables_per_word <= 0 or complex_pct < 0:
-        raise ValueError("ratios must be positive and complex_pct non-negative")
+        raise ConfigurationError("ratios must be positive and complex_pct non-negative")
     fog = 0.4 * (words_per_sentence + complex_pct)
     flesch = 206.835 - 1.015 * words_per_sentence - 84.6 * syllables_per_word
     fk = 0.39 * words_per_sentence + 11.8 * syllables_per_word - 15.59
@@ -102,11 +102,11 @@ def report(corpus: Corpus) -> ReadabilityReport:
     """Compute the full readability panel over every caption in the corpus."""
     texts = [cap.raw for cap in corpus.captions()]
     counts = Counter(chain.from_iterable(map(_words, texts)))
-    characters = sum(map(_alnum_count, texts))
     sentences = sum(len(split_sentences(text)) for text in texts)
     words = counts.total()
-    syllables = complex_words = 0
-    for tok, count in counts.items():
+    characters = syllables = complex_words = 0
+    for tok, count in counts.items():  # each letter or digit of a caption lies in one token
+        characters += count * sum(map(str.isalnum, tok))
         n = count_syllables(tok)
         syllables += n * count
         if n >= COMPLEX_SYLLABLES:

@@ -17,13 +17,12 @@ so stripping the ASCII characters that are neither letters, digits nor
 whitespace strips exactly its non-alphanumeric ends. Any other text goes
 through the regex ``_TOKEN``, whose classes ``[^\\W_]`` and ``\\s`` accept
 exactly what ``str.isalnum`` and ``str.isspace`` do on every code point, so
-no strip set has to list the non-ASCII characters. ``_alnum_count`` picks the
-same way between deleting the non-alphanumeric bytes and testing each character.
+no strip set has to list the non-ASCII characters.
 
-The grammar has two entry points. ``tokenize`` adds the count of letters and
-digits that readability reports; the stages that read only the tokens call
-``_words``, which skips that count. ``_check_word`` is the one test of a word
-from a rule, keyword or index file: it must be a token the grammar can produce.
+The grammar has two entry points: ``tokenize`` adds the count of letters and
+digits, and the stages, which read only tokens, call ``_words``. ``_check_word``
+is the one test of a word from a rule, keyword or index file: it must be a
+token the grammar can produce.
 """
 
 from __future__ import annotations
@@ -38,9 +37,7 @@ _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
 # One whitespace-delimited chunk from its first to its last letter or digit:
 # [^\W_] accepts exactly what str.isalnum does, \s exactly what str.isspace does.
 _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
-_ASCII = tuple(map(chr, range(128)))
-_ASCII_EDGE = "".join(ch for ch in _ASCII if not ch.isalnum() and not ch.isspace())
-_ASCII_NOT_ALNUM = "".join(ch for ch in _ASCII if not ch.isalnum()).encode()
+_ASCII_EDGE = "".join(ch for ch in map(chr, range(128)) if not ch.isalnum() and not ch.isspace())
 
 
 @dataclass(frozen=True)
@@ -61,13 +58,6 @@ def _words(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN.findall(text.lower()))
 
 
-def _alnum_count(text: str) -> int:
-    """The number of letters and digits in ``text``."""
-    if text.isascii():
-        return len(text.encode().translate(None, _ASCII_NOT_ALNUM))
-    return sum(map(str.isalnum, text))
-
-
 def _check_word(word: str, what: str, error: type[Exception] = ValidationError) -> None:
     """Raise ``error`` unless the grammar reads ``word`` as exactly itself, one token."""
     if _words(word) != (word,):
@@ -79,7 +69,7 @@ def tokenize(text: str) -> TokenizedSentence:
 
     Empty or whitespace-only text yields an empty token sequence.
     """
-    return TokenizedSentence(_words(text), _alnum_count(text))
+    return TokenizedSentence(_words(text), sum(map(str.isalnum, text)))
 
 
 def split_sentences(text: str) -> list[str]:

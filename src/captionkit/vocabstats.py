@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, write_csv
-from .exceptions import DegenerateInputError
+from .exceptions import ConfigurationError, DegenerateInputError
 from .tokens import _words
 
 
@@ -84,7 +84,7 @@ def top_k_coverage(prof: VocabularyProfile, k: int) -> Coverage:
     ``k`` beyond the vocabulary size simply covers everything.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigurationError(f"k must be >= 1, got {k}")
     covered = sum(count for _, count in prof.ranked()[:k])
     fraction = covered / prof.total_tokens if prof.total_tokens else 0.0
     return Coverage(fraction, covered)

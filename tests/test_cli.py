@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import stat
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from captionkit import tokens
+from captionkit import tokens, vocabstats
 from captionkit.cli import build_parser, run
 from conftest import write_jsonl
 
@@ -584,6 +586,42 @@ def test_bleu_that_scores_nothing_names_the_predictions(tmp_path, corpus_file, c
     preds = write_jsonl(tmp_path / "preds.jsonl", [{"image_id": "ghost", "caption": "a plane"}])
     assert run(["bleu", "--predictions", str(preds), "--references", corpus_file]) == 2
     assert capsys.readouterr().err.startswith(f"error: {preds}: no prediction could be scored: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest"],
+    ["validate"],
+    ["stats"],
+    ["stats", "--freq-csv", "{tmp}/freq.csv"],
+    ["readability"],
+    ["index", "build", "--out", "{tmp}/index.json"],
+])
+def test_every_subcommand_refuses_a_surrogate_escape(tmp_path, argv, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"image_id": "a", "captions": ["x"]}\n{"image_id": "b", "captions": ["a be\\ud800ach"]}\n')
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run([*argv, "--captions", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 2: not UTF-8 (surrogates not allowed)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+def test_stdout_that_cannot_encode_the_output_exits_2(tmp_path, capsys):
+    cafe = write_jsonl(tmp_path / "cafe.jsonl", [{"image_id": "a", "captions": ["a café by the sea"]}])
+    ascii_out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    with contextlib.redirect_stdout(ascii_out):
+        assert run(["ingest", "--captions", str(cafe)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+
+
+def test_a_bug_inside_a_stage_is_not_reported_as_bad_input(corpus_file, monkeypatch):
+    def broken(corpus):
+        raise ValueError("a bug, not an input fault")
+
+    monkeypatch.setattr(vocabstats, "profile", broken)
+    with pytest.raises(ValueError, match="a bug, not an input fault"):
+        run(["stats", "--captions", corpus_file])
 
 
 class _CountedPattern:

@@ -79,7 +79,8 @@ def test_rsicd_parse_failure_position(tmp_path):
     "load, content, line",
     [
         # CRLF and a lone CR each end one line, as text mode reads them
-        (lambda path: ingest_captions(path, "jsonl"), b'\r\n{"image_id": "a"\r, "captions": ["\xff"]}\n', 3),
+        (lambda path: ingest_captions(path, "jsonl"),
+         b'\r\n{"image_id": "a", "captions": ["x"]}\r{"image_id": "b", "captions": ["\xff"]}\n', 3),
         (lambda path: ingest_captions(path, "rsicd_json"), b'{"images":\r\n [\r{"raw": "caf\xc3"}]}', 3),
         (load_dictionary, b"beach\rsea\n\xed\xa0\x80\n", 3),
         (load_index, b"\xff", 1),
@@ -91,6 +92,68 @@ def test_bytes_not_utf8_name_file_and_line(tmp_path, load, content, line):
     path.write_bytes(content)
     with pytest.raises(FormatError, match=re.escape(f"{path}: line {line}: not UTF-8 (")):
         load(path)
+
+
+VALID_LINE = b'{"image_id": "a", "captions": ["x"]}\n'
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"{broken\n\xff\n", "line 1, column 2: Expecting property name"),
+        (b"\xff\n{broken\n", "line 1: not UTF-8 (invalid start byte)"),
+        # both faults in one 8 KiB decoding chunk, far from the file's start
+        (b"".join(VALID_LINE.replace(b'"a"', b'"a%d"' % i) for i in range(300)) + b"{broken\n\xff\n",
+         "line 301, column 2: Expecting property name"),
+    ],
+    ids=["syntax-first", "byte-first", "deep"],
+)
+def test_first_fault_in_file_order_is_reported(tmp_path, content, message):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        ingest_captions(path, "jsonl")
+
+
+
+READERS = {
+    "jsonl": (lambda path: ingest_captions(path, "jsonl"),
+              VALID_LINE + b'{"image_id": "b", "captions": ["x"], "n": %s}\n', ": line 2: "),
+    "rsicd_json": (lambda path: ingest_captions(path, "rsicd_json"),
+                   b'{"images": [{"filename": "a", "sentences": [{"raw": "x"}]}], "n": %s}', ": "),
+    "labels": (ingest_labels, b'{"image_id": "a", "scene": "beach", "n": %s}\n', ": line 1: "),
+    "predictions": (ingest_predictions, b'{"image_id": "a", "caption": "x", "n": %s}\n', ": line 1: "),
+    "index": (load_index, b'{"version": 1, "doc_count": 1, "postings": {"x": ["a"]}, "n": %s}', ": "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("value, message", [
+    (b"1" * 5000, "Exceeds the limit (4300 digits)"),  # CPython's default limit for int()
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["long-int", "deep-nesting"])
+def test_value_json_cannot_build_is_a_format_error(tmp_path, kind, value, message):
+    load, template, where = READERS[kind]
+    path = tmp_path / "input"
+    path.write_bytes(template % value)
+    with pytest.raises(FormatError, match=re.escape(f"{path}{where}{message}")):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("escape", [rb'"\ud800"', rb'"a be\uDFFFach"', rb'"\udc00\ud83d"'])
+def test_lone_surrogate_escape_is_not_utf8(tmp_path, kind, escape):
+    load, template, where = READERS[kind]
+    path = tmp_path / "input"
+    path.write_bytes(template % escape)
+    with pytest.raises(FormatError, match=re.escape(f"{path}{where}not UTF-8 (surrogates not allowed)")):
+        load(path)
+
+
+def test_surrogate_pair_escape_is_one_character(tmp_path):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b'{"image_id": "a", "captions": ["a beach \\ud83c\\udf0a", "\\\\ud800"]}\n')
+    assert [cap.raw for cap in ingest_captions(path).captions()] == ["a beach \U0001f30a", "\\ud800"]
 
 
 def test_duplicate_image_id_named(tmp_path):

@@ -4,7 +4,9 @@
 functions: every file it reads must give an equal result, or the same
 exception type at the same location. Through the CLI, every malformed
 captions, predictions or labels file must exit 2 with one ``error:`` line
-that names it.
+that names it, and a JSONL file its first faulty line. Rule files and index
+files are drawn too, with bytes that are not UTF-8, oversized integers and
+surrogate escapes.
 """
 
 import contextlib
@@ -211,3 +213,203 @@ def test_cli_names_the_malformed_file(tmp_path_factory, case):
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue().startswith(f"error: {bad}: ")
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+JSONL_CLI_CASES = CLI_CASES + [
+    ("augment correct", "captions"),
+    ("augment synonym", "captions"),
+    ("index build", "captions"),
+    ("index build", "predictions"),
+]
+
+
+# Per subcommand: the roles of its required inputs, and its other arguments.
+COMMANDS = {
+    "bleu": (["predictions", "references"], []),
+    "score-confusion": (["predictions", "labels"], []),
+    "augment correct": (["captions", "dictionary"], []),
+    "augment synonym": (["captions", "thesaurus"], ["--seed", "1"]),
+    "index build": (["captions"], ["--out", "{tmp}/hypothesis-index.json"]),
+    "index query": (["index"], ["beach"]),
+}
+FIXTURES = {
+    "captions": DATA_DIR / "captions_3x5.jsonl",
+    "references": DATA_DIR / "captions_3x5.jsonl",
+    "predictions": DATA_DIR / "predictions_3.jsonl",
+    "labels": DATA_DIR / "labels_8scenes.jsonl",
+    "dictionary": DATA_DIR / "dictionary.txt",
+    "thesaurus": DATA_DIR / "thesaurus.tsv",
+}
+
+
+def _run_with(tmp, command, role, bad):
+    """Run ``command`` on its fixtures with ``bad`` as its ``role`` input: (exit code, stdout, stderr).
+
+    Each role is passed as ``--role``; ``index build`` reads predictions instead of captions.
+    """
+    required, extra = COMMANDS.get(command, (["captions"], []))
+    files = {r: FIXTURES[r] for r in required if r != role and command != "index build"} | {role: bad}
+    argv = [*command.split(), *(arg for r, path in files.items() for arg in (f"--{r}", path)), *extra]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run([str(arg).format(tmp=tmp) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+# JSONL lines that are valid UTF-8 and JSON but hold a value no reader may
+# accept: an integer past CPython's digit limit, and lone surrogate escapes.
+JSON_VALUE_FAULTS = [
+    b'{"image_id": "zz", "captions": ["x"], "caption": "x", "scene": "x", "n": ' + b"9" * 5000 + b"}\n",
+    b'{"image_id": "zz", "captions": ["a be\\ud800ach"], "caption": "\\udfff", "scene": "x"}\n',
+]
+NOT_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]
+
+
+@st.composite
+def _jsonl_case(draw):
+    """A subcommand, the role of its one malformed JSONL input, that file's kind and bytes.
+
+    The file may also hold a line with an oversized integer or a surrogate escape.
+    """
+    command, role = draw(st.sampled_from(JSONL_CLI_CASES))
+    kind = {"captions": "jsonl", "references": "jsonl"}.get(role, role)
+    lines = draw(_file(kind, malformed=True)).splitlines(keepends=True)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(JSON_VALUE_FAULTS)))
+    return command, role, kind, b"".join(lines)
+
+
+def _first_faulty_line(path, kind, content):
+    """The first faulty line of a JSONL file in file order, or None.
+
+    A line that is not UTF-8 or holds a value fault is blanked (keeping every
+    line's number), and the oracle judges what is left.
+    """
+    lines, blanked = content.splitlines(keepends=True), []
+    for n, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            blanked.append(n)
+        if line in JSON_VALUE_FAULTS:
+            blanked.append(n)
+    path.write_bytes(b"".join(b"\n" if n in blanked else line for n, line in enumerate(lines, start=1)))
+    try:
+        oracle_ingest(path, kind)
+        found = []
+    except (FormatError, ValidationError) as exc:
+        found = [int(re.match(re.escape(str(path)) + r": line (\d+)", str(exc)).group(1))]
+    return min(blanked + found, default=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_jsonl_case())
+def test_cli_names_the_first_faulty_jsonl_line(tmp_path_factory, case):
+    command, role, kind, content = case
+    base = tmp_path_factory.getbasetemp()
+    bad = base / f"hypothesis-first-{role}.{kind}"
+    line = _first_faulty_line(base / "hypothesis-blanked.jsonl", kind, content)
+    bad.write_bytes(content)
+    code, out, err = _run_with(base, command, role, bad)
+    assert (code, out) == (2, "")
+    assert re.match(re.escape(f"error: {bad}: line {line}") + "[:,] ", err), (line, err)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# Per rule file: its subcommand, lines every reader accepts, lines whose fault
+# the reader names by line, and lines whose value is judged after the whole
+# file is read (those errors name no file yet). No value line shares its key
+# with a valid line, which would replace it.
+RULE_FILES = {
+    "dictionary": ("augment correct", ["beach", "sea", "  Shore ", "c-shaped"], [],
+                   ["Beach.", "parking lot", "a\tb", "_"]),
+    "merge-rules": ("augment correct", ["c shape\tc-shaped", "air port\tairport"],
+                    ["c shape c-shaped", "a\tb\tc", "a b c\tx", "ab\tx"],
+                    ["c shape\tc shaped", "c shape\tC-Shaped."]),
+    "overrides": ("augment correct", ["bulding\tbuilding", "Teh\tthe"],
+                  ["bulding building", "a\tb\tc"], ["buldin\tbuild ing", "x.\ty", "x\t"]),
+    "thesaurus": ("augment synonym", ["beach\tshore,coast", "sea\tocean, sea shore"],
+                  ["beach shore", "a\tb\tc"], ["coast\tcoast", "shore\t", "ocean\tshore.", "two words\tx"]),
+    "scenes": ("score-confusion", ["beach\tbeach,shore", "airport\tairport,plane"],
+               ["beach", "a\tb\tc", "beach\t", "\tbeach"], ["desert\tsea shore"]),
+    "attributes": ("score-confusion", ["white", "Green"], [], ["two words", "white."]),
+}
+
+
+@st.composite
+def _rule_case(draw):
+    """A rule file's role and bytes holding at least one fault, and the first located line."""
+    role = draw(st.sampled_from(sorted(RULE_FILES)))
+    _, valid, located, value = RULE_FILES[role]
+    kinds = ["valid", "not-utf8", "value"] + (["located"] if located else [])
+    lines = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
+    if lines.count("valid") == len(lines):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(kinds[1:]))
+    content, first = [], None
+    for n, kind in enumerate(lines, start=1):
+        text = draw(st.sampled_from({"located": located, "value": value}.get(kind, valid))).encode()
+        if kind == "not-utf8":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(NOT_UTF8)) + text[at:]
+        if first is None and kind in ("located", "not-utf8"):
+            first = n
+        content.append(text + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
+    return role, b"".join(content), first
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rule_case())
+def test_cli_stops_on_a_faulty_rule_file(tmp_path_factory, case):
+    role, content, first = case
+    base = tmp_path_factory.getbasetemp()
+    bad = base / f"hypothesis-rules.{role}"
+    bad.write_bytes(content)
+    code, out, err = _run_with(base, RULE_FILES[role][0], role, bad)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: line {first}: " if first else "error: "), err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+INDEX = {"version": 1, "doc_count": 3, "postings": {"beach": ["a", "b"], "sea": ["b"], "x": ["c"]}}
+
+
+@st.composite
+def _index_file(draw):
+    """A malformed index file's bytes and, for a fault the reader names by line, that line."""
+    fault = draw(st.sampled_from(["not-utf8", "truncated", "long-int", "surrogate", "value"]))
+    payload = {**INDEX, "postings": dict(INDEX["postings"])}
+    if fault == "long-int":
+        payload[draw(st.sampled_from(["doc_count", "version", "extra"]))] = "LONG"
+    elif fault == "surrogate":
+        postings = payload["postings"]
+        if draw(st.booleans()):
+            postings["\ud800"] = ["a"]
+        else:
+            postings["sea"] = ["b\udc00"]
+    elif fault == "value":
+        payload.update(draw(st.sampled_from([
+            {"version": 2}, {"version": True}, {"doc_count": -1}, {"doc_count": 1},
+            {"postings": {"beach": ["b", "a"]}}, {"postings": {"Beach.": ["a"]}}, {"postings": []},
+        ])))
+    content = json.dumps(payload, indent=1, sort_keys=True).encode().replace(b'"LONG"', b"9" * 5000)
+    line = None
+    if fault == "not-utf8":
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(st.sampled_from(NOT_UTF8)) + content[at:]
+        line = content.count(b"\n", 0, at) + 1
+    elif fault == "truncated":
+        content = content[: draw(st.integers(0, len(content) - 1))]
+    return content, line
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_file())
+def test_cli_names_a_malformed_index_file(tmp_path_factory, case):
+    content, line = case
+    base = tmp_path_factory.getbasetemp()
+    bad = base / "hypothesis-bad-index.json"
+    bad.write_bytes(content)
+    code, out, err = _run_with(base, "index query", "index", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: line {line}: " if line else f"error: {bad}: "), err
+    assert err.count("\n") == 1 and err.endswith("\n")

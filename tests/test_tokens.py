@@ -5,7 +5,7 @@ import sys
 from hypothesis import given
 from hypothesis import strategies as st
 
-from captionkit.tokens import _TOKEN, _alnum_count, _words, split_sentences, tokenize
+from captionkit.tokens import _TOKEN, _words, split_sentences, tokenize
 from oracles import oracle_tokens
 
 printable = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60)
@@ -66,7 +66,7 @@ def test_words_is_tokenize_without_char_count(text):
 @given(st.text(alphabet=st.characters(max_codepoint=127)))
 def test_ascii_kernel_matches_regex_and_per_character_oracles(text):
     assert _words(text) == oracle_tokens(text) == tuple(_TOKEN.findall(text.lower()))
-    assert _alnum_count(text) == tokenize(text).char_count == sum(1 for ch in text if ch.isalnum())
+    assert tokenize(text).char_count == sum(1 for ch in text if ch.isalnum())
 
 
 def test_regex_classes_match_str_predicates_on_every_code_point():
@@ -76,6 +76,13 @@ def test_regex_classes_match_str_predicates_on_every_code_point():
     space = [m.start() for m in re.finditer(r"\s", everything)]
     assert alnum == [i for i, ch in enumerate(everything) if ch.isalnum()]
     assert space == [i for i, ch in enumerate(everything) if ch.isspace()]
+
+
+def test_lower_keeps_each_characters_count_of_letters_and_digits():
+    # readability counts letters and digits over lower-cased tokens, not the raw text
+    changed = [ch for ch in map(chr, range(sys.maxunicode + 1))
+               if sum(map(str.isalnum, ch.lower())) != ch.isalnum()]
+    assert changed == []
 
 
 def test_split_two_sentences():
