@@ -11,7 +11,6 @@ import logging
 import random
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -89,15 +88,15 @@ def load_merge_rules(path: str | Path) -> tuple[MergePattern, ...]:
 
 
 def load_overrides(path: str | Path) -> dict[str, str]:
-    """TSV ``misspelled<TAB>replacement``."""
-    return {word: fix for _, (word, fix) in read_rows(path, 2, "word<TAB>replacement")}
+    """TSV ``misspelled<TAB>replacement``; each misspelling on one line."""
+    return {word: fix for _, (word, fix) in read_rows(path, 2, "word<TAB>replacement", keyed=True)}
 
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
-    """TSV ``word<TAB>syn1,syn2,...``."""
+    """TSV ``word<TAB>syn1,syn2,...``; each word on one line."""
     return Thesaurus({
         word: tuple(s.strip() for s in synonyms.split(",") if s.strip())
-        for _, (word, synonyms) in read_rows(path, 2, "word<TAB>syn1,syn2,...")
+        for _, (word, synonyms) in read_rows(path, 2, "word<TAB>syn1,syn2,...", keyed=True)
     })
 
 
@@ -319,6 +318,7 @@ def back_translate(
                         time.sleep(backoff * (2**attempt))
         return text
 
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that back-translates
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         results = list(pool.map(roundtrip, captions))
 

@@ -81,9 +81,9 @@ def default_scene_keywords(labels: Sequence[LabelRecord]) -> dict[str, frozenset
 
 
 def load_scene_keywords(path: str | Path) -> dict[str, frozenset[str]]:
-    """TSV ``scene<TAB>trigger1,trigger2,...``; file order defines scene order."""
+    """TSV ``scene<TAB>trigger1,trigger2,...``, each scene on one line; file order defines scene order."""
     keywords: dict[str, frozenset[str]] = {}
-    for lineno, (scene, trigger_list) in read_rows(path, 2, "scene<TAB>trigger1,trigger2,..."):
+    for lineno, (scene, trigger_list) in read_rows(path, 2, "scene<TAB>trigger1,trigger2,...", keyed=True):
         triggers = frozenset(t.strip() for t in trigger_list.split(",") if t.strip())
         if not scene or not triggers:
             raise FormatError(f"{path}: line {lineno}: empty scene or trigger list")

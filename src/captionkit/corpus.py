@@ -176,17 +176,24 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def read_rows(path: str | Path, ncols: int = 1, shape: str = "") -> Iterator[tuple[int, list[str]]]:
+def read_rows(path: str | Path, ncols: int = 1, shape: str = "",
+              keyed: bool = False) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, stripped lower-cased cells) for each non-blank line.
 
     Lines split on tabs into exactly ``ncols`` cells, else ``FormatError`` names
-    the line and the expected ``shape``; one column keeps the whole line.
+    the line and the expected ``shape``; one column keeps the whole line. With
+    ``keyed`` the first cell is a key, and a line repeating one is a ``FormatError``.
     """
+    keys: set[str] = set()
     for lineno, line in _lines(path):
-        cells = line.split("\t") if ncols > 1 else [line]
+        cells = [cell.strip().lower() for cell in (line.split("\t") if ncols > 1 else [line])]
         if len(cells) != ncols:
             raise FormatError(f"{path}: line {lineno}: expected '{shape}'")
-        yield lineno, [cell.strip().lower() for cell in cells]
+        if keyed:
+            if cells[0] in keys:
+                raise FormatError(f"{path}: line {lineno}: repeated key {cells[0]!r}")
+            keys.add(cells[0])
+        yield lineno, cells
 
 
 @contextmanager
@@ -204,9 +211,11 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
             yield fh
         return
     path = path.resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # a new name per call, so two writers of one path, or a file a killed writer left, are never shared
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
         if path.exists():
             shutil.copymode(path, tmp)
@@ -392,13 +401,3 @@ def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:
         for r in corpus.records
         if strict_rsicd and len(r.captions) != 5
     ]
-
-
-def corpus_from_documents(documents: Mapping[str, Iterable[str]], provenance: str) -> Corpus:
-    """Build a corpus from an id -> captions mapping; ids are lower-cased and must stay unique."""
-    records = []
-    for image_id, texts in documents.items():
-        image_id = image_id.lower()
-        captions = tuple(Caption(image_id, text) for text in texts)
-        records.append(ImageRecord(image_id, captions))
-    return Corpus(tuple(records), provenance)

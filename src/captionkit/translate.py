@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 from .exceptions import TranslationError, ValidationError
+
+if TYPE_CHECKING:  # HttpTranslator imports it at run time
+    import requests
 
 
 class _PermanentFailure(TranslationError):
@@ -111,26 +112,25 @@ class HttpTranslator:
         timeout: float = 10.0,
         session: requests.Session | None = None,
     ):
+        import requests  # noqa: F401  (loaded, or found missing, here rather than in a pool worker)
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
         self._shared_session = session
         self._local = threading.local()
 
-    def _session(self) -> requests.Session:
-        # requests does not document Session as thread-safe
-        if self._shared_session is not None:
-            return self._shared_session
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
-
     def translate(self, text: str, src: str, dst: str) -> str:
+        import requests
+        session = self._shared_session
+        if session is None:  # requests does not document Session as thread-safe
+            if not hasattr(self._local, "session"):
+                self._local.session = requests.Session()
+            session = self._local.session
         payload = {"q": text, "source": src, "target": dst}
         if self.api_key:
             payload["api_key"] = self.api_key
         try:
-            response = self._session().post(self.endpoint, json=payload, timeout=self.timeout)
+            response = session.post(self.endpoint, json=payload, timeout=self.timeout)
             response.raise_for_status()
         except requests.RequestException as exc:
             status = getattr(exc.response, "status_code", 0)

@@ -1,11 +1,22 @@
 import json
 from pathlib import Path
+from typing import Iterable, Mapping
 
 import pytest
 
-from captionkit.corpus import corpus_from_documents
+from captionkit.corpus import Caption, Corpus, ImageRecord
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def corpus_from_documents(documents: Mapping[str, Iterable[str]], provenance: str) -> Corpus:
+    """Build a corpus from an id -> captions mapping; ids are lower-cased and must stay unique."""
+    records = []
+    for image_id, texts in documents.items():
+        image_id = image_id.lower()
+        captions = tuple(Caption(image_id, text) for text in texts)
+        records.append(ImageRecord(image_id, captions))
+    return Corpus(tuple(records), provenance)
 
 
 @pytest.fixture

@@ -17,13 +17,13 @@ from captionkit.augment import CorrectionRules, Thesaurus, back_translate, corre
 from captionkit.bleu import bleu_score, modified_precision
 from captionkit.cli import run
 from captionkit.confusion import scene_matrix
-from captionkit.corpus import LabelRecord, PredictionSet, corpus_from_documents, ingest_captions
+from captionkit.corpus import LabelRecord, PredictionSet, ingest_captions
 from captionkit.discover import build_index, load_index, query, save_index
 from captionkit.readability import report_from_aggregates
 from captionkit.tokens import tokenize
 from captionkit.translate import MockTranslator, TranslationChain
 from captionkit.vocabstats import hapax_ratio, profile, top_k_coverage
-from conftest import DATA_DIR
+from conftest import DATA_DIR, corpus_from_documents
 from oracles import oracle_bleu, oracle_scene_matrix
 
 RSICD_JSON = os.environ.get("RSICD_JSON")

@@ -16,10 +16,11 @@ from captionkit.augment import (
     load_thesaurus,
     synonym_expand,
 )
-from captionkit.corpus import corpus_from_documents, jsonl_lines, validate
+from captionkit.corpus import jsonl_lines, validate
 from captionkit.exceptions import ConfigurationError, TranslationError, ValidationError
 from captionkit.tokens import _words, tokenize
 from captionkit.translate import MockTranslator, TranslationChain
+from conftest import corpus_from_documents
 from oracles import _nearest_known, oracle_correct, oracle_synonym_expand
 
 BASIC_DICT = frozenset(

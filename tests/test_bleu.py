@@ -13,9 +13,10 @@ from captionkit.bleu import (
     score_predictions,
     sentence_bleu,
 )
-from captionkit.corpus import PredictionSet, corpus_from_documents
+from captionkit.corpus import PredictionSet
 from captionkit.exceptions import DegenerateInputError
 from captionkit.tokens import tokenize
+from conftest import corpus_from_documents
 from oracles import oracle_bleu, oracle_stats, oracle_stats_max
 
 ALPHABET = ["a", "b", "c", "d", "e"]

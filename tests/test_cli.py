@@ -237,14 +237,18 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", PINNED_RUNS)
-def test_outputs_pinned(command, data_dir, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write_jsonl(tmp_path / "labels.jsonl", [
+def _pinned_labels(work):
+    write_jsonl(work / "labels.jsonl", [
         {"image_id": "airport_1.jpg", "scene": "airport"},
         {"image_id": "beach_2.jpg", "scene": "beach"},
         {"image_id": "river_3.jpg", "scene": "river"},
     ])
+
+
+@pytest.mark.parametrize("command", PINNED_RUNS)
+def test_outputs_pinned(command, data_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _pinned_labels(tmp_path)
     argv, outputs = PINNED_RUNS[command]
     assert run([arg.format(data=data_dir) for arg in argv]) == 0
     for name in outputs:
@@ -672,10 +676,10 @@ def test_backtranslate_workers_option(corpus_file, tmp_path, capsys):
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _python(args, **kwargs):
-    env = {**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60, **kwargs)
+def _python(args, input=None, cwd=None, **env):
+    env = {**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONDONTWRITEBYTECODE": "1", **env}
+    return subprocess.run([sys.executable, *args], input=input, cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 @pytest.mark.parametrize("module", ["captionkit", "captionkit.cli"])
@@ -684,6 +688,52 @@ def test_python_m_runs_cli(module):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: captionkit")
     assert "score-confusion" in proc.stdout
+
+
+# Runs each argv list read as JSON from stdin through cli.run; prints the exit codes.
+RUN_ALL = """
+import json, sys
+from captionkit.cli import run
+print(json.dumps([run(argv) for argv in json.load(sys.stdin)]))
+"""
+
+
+def test_outputs_pinned_under_any_hash_seed(data_dir, tmp_path):
+    runs = [[arg.format(data=data_dir) for arg in argv] for argv, _ in PINNED_RUNS.values()]
+    names = [name for _, outputs in PINNED_RUNS.values() for name in outputs]
+    seen = []
+    for hash_seed in ("1", "4242"):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        _pinned_labels(work)
+        proc = _python(["-c", RUN_ALL], input=json.dumps(runs), cwd=work, PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0] * len(runs), proc.stderr
+        seen.append({name: (work / name).read_bytes() for name in names})
+    assert seen[0] == seen[1]
+    assert seen[0] == {name: (data_dir / "pinned" / name).read_bytes() for name in names}
+
+
+# Lists which of the HTTP and pool modules are loaded after building the CLI
+# parser, and after building an HttpTranslator.
+LOADED_MODULES = """
+import json, sys
+names = ("requests", "urllib3", "concurrent.futures")
+loaded = lambda: [name for name in names if name in sys.modules]
+import captionkit.cli
+captionkit.cli.build_parser()
+before = loaded()
+captionkit.HttpTranslator("http://127.0.0.1:1/translate")
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_translation_stack_loads_only_with_a_translator():
+    proc = _python(["-c", LOADED_MODULES])
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    assert before == []
+    assert "requests" in after
 
 
 # Runs the CLI with a file-size limit: a write past it fails with EFBIG, as

@@ -1,4 +1,5 @@
 import re
+import threading
 
 import pytest
 
@@ -9,7 +10,7 @@ from captionkit.corpus import (
     Corpus,
     ImageRecord,
     Split,
-    corpus_from_documents,
+    atomic_write,
     ingest_captions,
     ingest_labels,
     ingest_predictions,
@@ -18,7 +19,7 @@ from captionkit.corpus import (
 )
 from captionkit.discover import load_index
 from captionkit.exceptions import FormatError, ValidationError
-from conftest import write_jsonl
+from conftest import corpus_from_documents, write_jsonl
 
 
 def test_jsonl_minimal(tmp_path):
@@ -322,6 +323,32 @@ def test_corpus_is_immutable(small_corpus):
 
 def test_caption_source_default():
     assert Caption("i", "text").source is CaptionSource.HUMAN
+
+
+def test_concurrent_writers_of_one_path_use_their_own_temp_files(tmp_path):
+    target = tmp_path / "out.txt"
+    both_open = threading.Barrier(2, timeout=10)
+    errors = []
+
+    def write(tag):
+        try:
+            with atomic_write(target) as fh:
+                both_open.wait()
+                fh.writelines(f"{tag} {i}\n" for i in range(2000))
+                both_open.wait()  # each has written all its lines before either renames
+        except Exception as exc:
+            errors.append(exc)
+
+    writers = [threading.Thread(target=write, args=(tag,)) for tag in "ab"]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=10)
+    assert not any(writer.is_alive() for writer in writers)
+    assert errors == []
+    whole = {"".join(f"{tag} {i}\n" for i in range(2000)) for tag in "ab"}
+    assert target.read_text(encoding="utf-8") in whole
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_corpus_from_documents_lowercases_ids():

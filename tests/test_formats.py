@@ -77,8 +77,8 @@ PARSED = [
     (
         "overrides",
         load_overrides,
-        b"Bulding\tBuilding\r\n\n  plane \t  airplane \nbulding\tbuildings\n",
-        {"bulding": "buildings", "plane": "airplane"},
+        b"Bulding\tBuilding\r\n\n  plane \t  airplane \nTeh\tThe\n",
+        {"bulding": "building", "plane": "airplane", "teh": "the"},
     ),
     (
         "thesaurus",
@@ -131,13 +131,20 @@ REJECTED = [
     ("merge-one-word-bigram", load_merge_rules, b"a b\tab\r\nshape\tc-shaped\r\n", FormatError, "line 2"),
     ("overrides-missing-tab", load_overrides, b"bulding building\n", FormatError, "line 1"),
     ("overrides-extra-tab", load_overrides, b"a\tb\n\n\nx\ty\tz\n", FormatError, "line 4"),
+    ("overrides-repeated-key", load_overrides,
+     b"Bulding\tBuilding\r\n\n  plane \t  airplane \nbulding\tbuildings\n", FormatError,
+     "line 4: repeated key 'bulding'"),
     ("thesaurus-missing-tab", load_thesaurus, b"big large\n", FormatError, "line 1"),
     ("thesaurus-extra-tab", load_thesaurus, b"big\tlarge\thuge\n", FormatError, "line 1"),
     ("thesaurus-no-synonyms", load_thesaurus, b"big\t , ,\n", ValidationError, "'big'"),
+    ("thesaurus-repeated-key", load_thesaurus, b"Several\tsome\n big \tlarge\nSEVERAL\tvarious\n",
+     FormatError, "line 3: repeated key 'several'"),
     ("scenes-missing-tab", load_scene_keywords, b"port harbour\n", FormatError, "line 1"),
     ("scenes-extra-tab", load_scene_keywords, b"port\tharbour\t\n", FormatError, "line 1"),
     ("scenes-empty-scene", load_scene_keywords, b"port\tdock\n \tharbour\n", FormatError, "line 2"),
     ("scenes-empty-triggers", load_scene_keywords, b"port\t , ,\n", FormatError, "line 1"),
+    ("scenes-repeated-key", load_scene_keywords, b"port\tdock\r\n\r\nPort \tharbour\n", FormatError,
+     "line 3: repeated key 'port'"),
     ("jsonl-bad-json", _jsonl_corpus, _jsonl(OK_LINE, b"{broken"), FormatError, "line 2"),
     ("jsonl-not-object", _jsonl_corpus, _jsonl(OK_LINE, [1]), FormatError, "line 2"),
     ("jsonl-missing-id", _jsonl_corpus, _jsonl({"captions": ["x"]}), ValidationError, "line 1"),

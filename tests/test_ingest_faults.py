@@ -318,8 +318,8 @@ def test_cli_names_the_first_faulty_jsonl_line(tmp_path_factory, case):
 
 # Per rule file: its subcommand, lines every reader accepts, lines whose fault
 # the reader names by line, and lines whose value is judged after the whole
-# file is read (those errors name no file yet). No value line shares its key
-# with a valid line, which would replace it.
+# file is read (those errors name no file yet). In a keyed file, a line
+# repeating the key of an earlier one is a fault named by its line.
 RULE_FILES = {
     "dictionary": ("augment correct", ["beach", "sea", "  Shore ", "c-shaped"], [],
                    ["Beach.", "parking lot", "a\tb", "_"]),
@@ -334,6 +334,7 @@ RULE_FILES = {
                ["beach", "a\tb\tc", "beach\t", "\tbeach"], ["desert\tsea shore"]),
     "attributes": ("score-confusion", ["white", "Green"], [], ["two words", "white."]),
 }
+KEYED_RULE_FILES = {"overrides", "thesaurus", "scenes"}
 
 
 @st.composite
@@ -345,12 +346,18 @@ def _rule_case(draw):
     lines = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
     if lines.count("valid") == len(lines):
         lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(kinds[1:]))
-    content, first = [], None
+    content, first, keys = [], None, set()
     for n, kind in enumerate(lines, start=1):
-        text = draw(st.sampled_from({"located": located, "value": value}.get(kind, valid))).encode()
+        line = draw(st.sampled_from({"located": located, "value": value}.get(kind, valid)))
+        text = line.encode()
         if kind == "not-utf8":
             at = draw(st.integers(0, len(text)))
             text = text[:at] + draw(st.sampled_from(NOT_UTF8)) + text[at:]
+        elif role in KEYED_RULE_FILES and line.count("\t") == 1:
+            key = line.split("\t")[0].strip().lower()
+            if key in keys:
+                kind = "located"
+            keys.add(key)
         if first is None and kind in ("located", "not-utf8"):
             first = n
         content.append(text + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))

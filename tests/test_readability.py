@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from captionkit.corpus import corpus_from_documents
 from captionkit.exceptions import DegenerateInputError
 from captionkit import readability
 from captionkit.readability import (
@@ -17,6 +16,7 @@ from captionkit.readability import (
     report_from_aggregates,
 )
 from captionkit.tokens import split_sentences, tokenize
+from conftest import corpus_from_documents
 from oracles import oracle_readability
 
 # frozen outputs of the vowel-group heuristic (regression fixtures)

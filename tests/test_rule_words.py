@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from captionkit.augment import CorrectionRules, Thesaurus, correct
 from captionkit.cli import run
 from captionkit.confusion import scene_matrix
-from captionkit.corpus import LabelRecord, PredictionSet, corpus_from_documents
+from captionkit.corpus import LabelRecord, PredictionSet
 from captionkit.discover import INDEX_VERSION, load_index, query
 from captionkit.exceptions import ConfigurationError, FormatError, ValidationError
 from captionkit.tokens import _words
 from captionkit.translate import MockTranslator
-from conftest import write_jsonl
+from conftest import corpus_from_documents, write_jsonl
 
 PREDICTIONS = PredictionSet({"x": "green trees by a parking lot next to the beach"})
 LABELS = [LabelRecord("x", "beach")]

@@ -7,9 +7,9 @@ import requests
 
 from captionkit.augment import back_translate
 from captionkit.cli import API_KEY_ENV, run
-from captionkit.corpus import corpus_from_documents
 from captionkit.exceptions import TranslationError
 from captionkit.translate import HttpTranslator, TranslationChain
+from conftest import corpus_from_documents
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from captionkit.corpus import corpus_from_documents
 from captionkit.exceptions import DegenerateInputError
 from captionkit.tokens import tokenize
 from captionkit.vocabstats import frequency_export, hapax_ratio, profile, top_k_coverage
+from conftest import corpus_from_documents
 
 WORDS = ["airport", "beach", "bridge", "green", "trees", "river", "many", "a", "sea", "port"]
 
