@@ -73,31 +73,28 @@ class Thesaurus:
 
 def load_dictionary(path: str | Path) -> frozenset[str]:
     """One lower-case word per line; blank lines skipped."""
-    return frozenset(word for _, (word,) in read_rows(path))
+    return frozenset(word for _, (word,) in read_rows(path, "word"))
 
 
 def load_merge_rules(path: str | Path) -> tuple[MergePattern, ...]:
     """TSV ``bigram<TAB>replacement``, e.g. ``c shape<TAB>c-shaped``; file order kept."""
     rules = []
-    for lineno, (bigram, merged) in read_rows(path, 2, "bigram<TAB>replacement"):
+    for where, (bigram, merged) in read_rows(path, "bigram<TAB>replacement"):
         words = bigram.split()
         if len(words) != 2:
-            raise FormatError(f"{path}: line {lineno}: bigram must be exactly two words")
+            raise FormatError(f"{where}: bigram must be exactly two words")
         rules.append(((words[0], words[1]), merged))
     return tuple(rules)
 
 
 def load_overrides(path: str | Path) -> dict[str, str]:
     """TSV ``misspelled<TAB>replacement``; each misspelling on one line."""
-    return {word: fix for _, (word, fix) in read_rows(path, 2, "word<TAB>replacement", keyed=True)}
+    return {word: fix for _, (word, fix) in read_rows(path, "word<TAB>replacement", keyed=True)}
 
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
     """TSV ``word<TAB>syn1,syn2,...``; each word on one line."""
-    return Thesaurus({
-        word: tuple(s.strip() for s in synonyms.split(",") if s.strip())
-        for _, (word, synonyms) in read_rows(path, 2, "word<TAB>syn1,syn2,...", keyed=True)
-    })
+    return Thesaurus(dict(row for _, row in read_rows(path, "word<TAB>syn1,syn2,...", keyed=True)))
 
 
 def _deletes(word: str) -> set[str]:

@@ -83,17 +83,16 @@ def default_scene_keywords(labels: Sequence[LabelRecord]) -> dict[str, frozenset
 def load_scene_keywords(path: str | Path) -> dict[str, frozenset[str]]:
     """TSV ``scene<TAB>trigger1,trigger2,...``, each scene on one line; file order defines scene order."""
     keywords: dict[str, frozenset[str]] = {}
-    for lineno, (scene, trigger_list) in read_rows(path, 2, "scene<TAB>trigger1,trigger2,...", keyed=True):
-        triggers = frozenset(t.strip() for t in trigger_list.split(",") if t.strip())
+    for where, (scene, triggers) in read_rows(path, "scene<TAB>trigger1,trigger2,...", keyed=True):
         if not scene or not triggers:
-            raise FormatError(f"{path}: line {lineno}: empty scene or trigger list")
-        keywords[scene] = triggers
+            raise FormatError(f"{where}: empty scene or trigger list")
+        keywords[scene] = frozenset(triggers)
     return keywords
 
 
 def load_attributes(path: str | Path) -> tuple[str, ...]:
     """One attribute token per line."""
-    return tuple(token for _, (token,) in read_rows(path))
+    return tuple(token for _, (token,) in read_rows(path, "attribute"))
 
 
 def scene_matrix(

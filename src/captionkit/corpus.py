@@ -12,8 +12,9 @@ import csv
 import json
 import os
 import re
-import shutil
-from contextlib import contextmanager
+import stat
+import sys
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
@@ -176,24 +177,39 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def read_rows(path: str | Path, ncols: int = 1, shape: str = "",
-              keyed: bool = False) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, stripped lower-cased cells) for each non-blank line.
+def read_rows(path: str | Path, shape: str, keyed: bool = False) -> Iterator[tuple[str, list]]:
+    """Yield (``path: line N``, stripped lower-cased cells) for each non-blank line, read by ``shape``.
 
-    Lines split on tabs into exactly ``ncols`` cells, else ``FormatError`` names
-    the line and the expected ``shape``; one column keeps the whole line. With
-    ``keyed`` the first cell is a key, and a line repeating one is a ``FormatError``.
+    ``shape`` names the ``<TAB>``-separated cells; a line with another count is a
+    ``FormatError`` naming it and ``shape``, and a one-cell shape keeps the whole line.
+    A cell whose name ends in ``,...`` is the tuple of its non-empty stripped comma
+    items. With ``keyed``, a line repeating the first cell (its key) is a ``FormatError``.
     """
+    names = shape.split("<TAB>")
+    lists = [name.endswith(",...") for name in names]
     keys: set[str] = set()
     for lineno, line in _lines(path):
-        cells = [cell.strip().lower() for cell in (line.split("\t") if ncols > 1 else [line])]
-        if len(cells) != ncols:
-            raise FormatError(f"{path}: line {lineno}: expected '{shape}'")
+        where = f"{path}: line {lineno}"
+        cells = [cell.strip().lower() for cell in (line.split("\t") if len(names) > 1 else [line])]
+        if len(cells) != len(names):
+            raise FormatError(f"{where}: expected '{shape}'")
         if keyed:
             if cells[0] in keys:
-                raise FormatError(f"{path}: line {lineno}: repeated key {cells[0]!r}")
+                raise FormatError(f"{where}: repeated key {cells[0]!r}")
             keys.add(cells[0])
-        yield lineno, cells
+        yield where, [tuple(filter(None, map(str.strip, cell.split(",")))) if is_list else cell
+                      for cell, is_list in zip(cells, lists)]
+
+
+def _standard_fd(st: os.stat_result) -> int | None:
+    """1 or 2, its Python stream flushed, if this process's stdout or stderr is the file ``st`` describes."""
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        with suppress(OSError):  # a closed descriptor
+            if os.path.samestat(st, os.fstat(fd)):
+                if stream is not None:
+                    stream.flush()
+                return fd
+    return None
 
 
 @contextmanager
@@ -202,12 +218,19 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
     The temp file takes the mode of a file already at ``path``; if the block
     raises, it is removed and ``path`` is left as it was. A symlink is written
-    through to its target. A device or pipe, such as ``/dev/stdout``, cannot be
-    replaced and is written directly.
+    through to its target; a symlink loop is an ``OSError`` naming ``path``. The
+    file that is this process's stdout or stderr, such as ``/dev/stdout``
+    redirected to a file, is written through that open stream, and a device or
+    pipe is written directly: neither is replaced.
     """
     path = Path(path)
-    if path.exists() and not path.is_file():
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    fd = _standard_fd(st) if st else None
+    if fd is not None or (st and not stat.S_ISREG(st.st_mode)):
+        with open(path if fd is None else fd, "w", encoding="utf-8", newline="", closefd=fd is None) as fh:
             yield fh
         return
     path = path.resolve()
@@ -217,8 +240,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     try:
         with fh:
             yield fh
-        if path.exists():
-            shutil.copymode(path, tmp)
+        if st:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -1,10 +1,22 @@
 import json
+import warnings
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import pytest
 
 from captionkit.corpus import Caption, Corpus, ImageRecord
+
+# hypothesis imports this module, and through it libcst, to write the patch for a
+# failing test; libcst warns on import, and under `pytest -W error` that warning
+# would abort the whole session. Importing it here once, the warning ignored, makes
+# that later import a lookup.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 DATA_DIR = Path(__file__).parent / "data"
 

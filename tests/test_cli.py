@@ -803,3 +803,32 @@ def test_output_through_symlink_and_into_pipe(corpus_file, tmp_path):
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert received[0].count(b"\n") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "fifo", "link.json", "real.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout and /dev/stderr")
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_output_into_redirected_standard_stream_keeps_the_file(corpus_file, tmp_path, stream):
+    expected = tmp_path / "expected.jsonl"
+    assert run(["ingest", "--captions", corpus_file, "--out", str(expected)]) == 0
+    # the shell's `{ echo HEADER; captionkit ... --out /dev/stdout; echo TRAILER; } > f`
+    target = tmp_path / "f"
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.write("HEADER\n")
+        fh.flush()
+        argv = ["ingest", "--captions", corpus_file, "--out", f"/dev/{stream}"]
+        env = {**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-m", "captionkit", *argv], env=env, timeout=60, **{stream: fh})
+        fh.write("TRAILER\n")
+    assert proc.returncode == 0
+    ingested = expected.read_text(encoding="utf-8")
+    assert target.read_text(encoding="utf-8") == f"HEADER\n{ingested}TRAILER\n"
+
+
+def test_output_into_symlink_loop_exits_2(corpus_file, tmp_path, capsys):
+    loop = tmp_path / "a"
+    loop.symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(loop)
+    assert run(["ingest", "--captions", corpus_file, "--out", str(loop)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(loop) in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "corpus.jsonl"]

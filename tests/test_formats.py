@@ -92,6 +92,11 @@ PARSED = [
         b"Airport\tAirport, Airfield,\r\n\n port \t harbour ,dock,dock\n",
         {"airport": frozenset({"airport", "airfield"}), "port": frozenset({"harbour", "dock"})},
     ),
+    # A comma splits only a cell whose shape names a list; a repeated synonym stays.
+    ("thesaurus-repeated-synonym", load_thesaurus, b"big\tlarge,large\n",
+     Thesaurus({"big": ("large", "large")})),
+    ("dictionary-comma", load_dictionary, b"a,b\n", frozenset({"a,b"})),
+    ("overrides-comma", load_overrides, b"x\ty,z\n", {"x": "y,z"}),
     (
         "jsonl",
         _jsonl_corpus,
