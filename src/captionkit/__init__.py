@@ -1,82 +1,44 @@
 """captionkit: profiling, augmentation, scoring, and keyword discoverability
-for image-caption corpora."""
+for image-caption corpora.
 
-from .augment import (
-    CorrectionRules,
-    Thesaurus,
-    back_translate,
-    correct,
-    synonym_expand,
-)
-from .bleu import BleuResult, bleu_score, modified_precision, ngram_counts, sentence_bleu
-from .confusion import ConfusionReport, attribute_table, matrix_export, scene_matrix
-from .corpus import (
-    Caption,
-    CaptionSource,
-    Corpus,
-    ImageRecord,
-    LabelRecord,
-    PredictionSet,
-    Split,
-    ingest_captions,
-    ingest_labels,
-    ingest_predictions,
-    validate,
-    write_captions_jsonl,
-)
-from .discover import InvertedIndex, build_index, load_index, query, save_index
-from .readability import ReadabilityReport, count_syllables, report, report_from_aggregates
-from .tokens import TokenizedSentence, split_sentences, tokenize
-from .translate import HttpTranslator, MockTranslator, TranslationChain
-from .vocabstats import VocabularyProfile, frequency_export, hapax_ratio, profile, top_k_coverage
+A public name is imported from its defining module on first access, so
+``import captionkit`` loads no stage module until one is used.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BleuResult",
-    "Caption",
-    "CaptionSource",
-    "ConfusionReport",
-    "CorrectionRules",
-    "Corpus",
-    "HttpTranslator",
-    "ImageRecord",
-    "InvertedIndex",
-    "LabelRecord",
-    "MockTranslator",
-    "PredictionSet",
-    "ReadabilityReport",
-    "Split",
-    "Thesaurus",
-    "TokenizedSentence",
-    "TranslationChain",
-    "VocabularyProfile",
-    "attribute_table",
-    "back_translate",
-    "bleu_score",
-    "build_index",
-    "correct",
-    "count_syllables",
-    "frequency_export",
-    "hapax_ratio",
-    "ingest_captions",
-    "ingest_labels",
-    "ingest_predictions",
-    "load_index",
-    "matrix_export",
-    "modified_precision",
-    "ngram_counts",
-    "profile",
-    "query",
-    "report",
-    "report_from_aggregates",
-    "save_index",
-    "scene_matrix",
-    "sentence_bleu",
-    "split_sentences",
-    "synonym_expand",
-    "tokenize",
-    "top_k_coverage",
-    "validate",
-    "write_captions_jsonl",
-]
+# Defining module -> the public names it exports.
+_EXPORTS = {
+    "augment": ("CorrectionRules", "Thesaurus", "back_translate", "correct", "synonym_expand"),
+    "bleu": ("BleuResult", "bleu_score", "modified_precision", "ngram_counts", "sentence_bleu"),
+    "confusion": ("ConfusionReport", "attribute_table", "matrix_export", "scene_matrix"),
+    "corpus": (
+        "Caption", "CaptionSource", "Corpus", "ImageRecord", "LabelRecord", "PredictionSet", "Split",
+        "ingest_captions", "ingest_labels", "ingest_predictions", "validate", "write_captions_jsonl",
+    ),
+    "discover": ("InvertedIndex", "build_index", "load_index", "query", "save_index"),
+    "readability": ("ReadabilityReport", "count_syllables", "report", "report_from_aggregates"),
+    "tokens": ("TokenizedSentence", "split_sentences", "tokenize"),
+    "translate": ("HttpTranslator", "MockTranslator", "TranslationChain"),
+    "vocabstats": ("VocabularyProfile", "frequency_export", "hapax_ratio", "profile", "top_k_coverage"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "exceptions"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    """Import public name ``name`` from its defining module and keep it, or import submodule ``name``."""
+    if name in _MODULE_OF:
+        globals()[name] = value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+        return value
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

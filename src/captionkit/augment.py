@@ -26,6 +26,11 @@ logger = logging.getLogger(__name__)
 MergePattern = tuple[tuple[str, str], str]
 
 
+def _check_rule_words(*words: str) -> None:
+    for word in words:
+        _check_word(word, "rule word")
+
+
 @dataclass(frozen=True)
 class CorrectionRules:
     """Accepted-word dictionary, ordered bigram merge rules, manual overrides; each word one token."""
@@ -37,8 +42,22 @@ class CorrectionRules:
     def __post_init__(self) -> None:
         merge_words = (word for pair, merged in self.merge_patterns for word in (*pair, merged))
         overrides = self.manual_overrides
-        for word in chain(self.dictionary, merge_words, overrides, overrides.values()):
-            _check_word(word, "rule word")
+        _check_rule_words(*self.dictionary, *merge_words, *overrides, *overrides.values())
+
+
+def _check_entry(word: str, synonyms: Sequence[str]) -> None:
+    """Raise ``ValidationError`` unless ``word`` is one token with synonyms, none of them itself,
+    each tokenizing to exactly its whitespace-split words."""
+    _check_word(word, "thesaurus word")
+    if not synonyms:
+        raise ValidationError(f"thesaurus entry {word!r} has no synonyms")
+    if word in synonyms:
+        raise ValidationError(f"thesaurus entry {word!r} lists itself as a synonym")
+    for synonym in synonyms:
+        if not synonym.split() or _words(synonym) != tuple(synonym.split()):
+            raise ValidationError(
+                f"thesaurus entry {word!r}: synonym {synonym!r} does not tokenize to its own words"
+            )
 
 
 @dataclass(frozen=True)
@@ -53,16 +72,7 @@ class Thesaurus:
 
     def __post_init__(self) -> None:
         for word, synonyms in self.entries.items():
-            _check_word(word, "thesaurus word")
-            if not synonyms:
-                raise ValidationError(f"thesaurus entry {word!r} has no synonyms")
-            if word in synonyms:
-                raise ValidationError(f"thesaurus entry {word!r} lists itself as a synonym")
-            for synonym in synonyms:
-                if not synonym.split() or _words(synonym) != tuple(synonym.split()):
-                    raise ValidationError(
-                        f"thesaurus entry {word!r}: synonym {synonym!r} does not tokenize to its own words"
-                    )
+            _check_entry(word, synonyms)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -71,30 +81,32 @@ class Thesaurus:
         return len(self.entries)
 
 
+# Each loader judges every line as it reads it, so a fault names its file and line.
 def load_dictionary(path: str | Path) -> frozenset[str]:
     """One lower-case word per line; blank lines skipped."""
-    return frozenset(word for _, (word,) in read_rows(path, "word"))
+    return frozenset(word for (word,) in read_rows(path, "word", _check_rule_words))
+
+
+def _check_merge_rule(bigram: str, merged: str) -> None:
+    if len(bigram.split()) != 2:
+        raise FormatError("bigram must be exactly two words")
+    _check_rule_words(*bigram.split(), merged)
 
 
 def load_merge_rules(path: str | Path) -> tuple[MergePattern, ...]:
     """TSV ``bigram<TAB>replacement``, e.g. ``c shape<TAB>c-shaped``; file order kept."""
-    rules = []
-    for where, (bigram, merged) in read_rows(path, "bigram<TAB>replacement"):
-        words = bigram.split()
-        if len(words) != 2:
-            raise FormatError(f"{where}: bigram must be exactly two words")
-        rules.append(((words[0], words[1]), merged))
-    return tuple(rules)
+    rows = read_rows(path, "bigram<TAB>replacement", _check_merge_rule)
+    return tuple((tuple(bigram.split()), merged) for bigram, merged in rows)
 
 
 def load_overrides(path: str | Path) -> dict[str, str]:
     """TSV ``misspelled<TAB>replacement``; each misspelling on one line."""
-    return {word: fix for _, (word, fix) in read_rows(path, "word<TAB>replacement", keyed=True)}
+    return dict(read_rows(path, "word<TAB>replacement", _check_rule_words, keyed=True))
 
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
     """TSV ``word<TAB>syn1,syn2,...``; each word on one line."""
-    return Thesaurus(dict(row for _, row in read_rows(path, "word<TAB>syn1,syn2,...", keyed=True)))
+    return Thesaurus(dict(read_rows(path, "word<TAB>syn1,syn2,...", _check_entry, keyed=True)))
 
 
 def _deletes(word: str) -> set[str]:

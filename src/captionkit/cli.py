@@ -14,14 +14,8 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
-from . import augment as aug
-from . import bleu as bleu_mod
-from . import confusion as conf
-from . import discover
-from . import readability as read_mod
-from . import vocabstats
 from .corpus import (
     CAPTION_FORMATS,
     Corpus,
@@ -34,7 +28,10 @@ from .corpus import (
     write_csv,
 )
 from .exceptions import CaptionKitError, ConfigurationError, DegenerateInputError
-from .translate import HttpTranslator, MockTranslator, TranslationChain
+
+# Each handler imports the stage modules it runs, so a run loads only its subcommand's code.
+if TYPE_CHECKING:
+    from .readability import ReadabilityReport
 
 API_KEY_ENV = "CAPTIONKIT_TRANSLATE_API_KEY"
 
@@ -87,6 +84,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import vocabstats
     prof = _measure(args.captions, vocabstats.profile, _corpus(args))
     payload = prof.to_dict()
     if args.top_k is not None:
@@ -97,7 +95,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_table(columns: list[tuple[str, read_mod.ReadabilityReport]]) -> str:
+def _format_table(columns: list[tuple[str, ReadabilityReport]]) -> str:
+    from . import readability as read_mod
     label_width = max(len(label) for _, _, label, _ in read_mod.PANEL)
     widths = [max(len(name), 14) for name, _ in columns]
 
@@ -112,6 +111,7 @@ def _format_table(columns: list[tuple[str, read_mod.ReadabilityReport]]) -> str:
 
 
 def cmd_readability(args: argparse.Namespace) -> int:
+    from . import readability as read_mod
     reports = [(args.captions, _measure(args.captions, read_mod.report, _corpus(args)))]
     if args.compare:
         other = ingest_captions(args.compare, args.compare_format)
@@ -126,6 +126,7 @@ def cmd_readability(args: argparse.Namespace) -> int:
 
 
 def cmd_bleu(args: argparse.Namespace) -> int:
+    from . import bleu as bleu_mod
     predictions = ingest_predictions(args.predictions)
     references = ingest_captions(args.references, args.references_format)
     overall, per_image, missing = bleu_mod.score_predictions(predictions, references)
@@ -143,6 +144,7 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
+    from . import augment as aug
     corpus = _corpus(args)
     rules = aug.CorrectionRules(
         dictionary=aug.load_dictionary(args.dictionary),
@@ -154,6 +156,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 
 def cmd_synonym(args: argparse.Namespace) -> int:
+    from . import augment as aug
     corpus = _corpus(args)
     result = aug.synonym_expand(corpus, aug.load_thesaurus(args.thesaurus), args.replacements, seed=args.seed)
     _emit(jsonl_lines(result), args.out)
@@ -161,6 +164,8 @@ def cmd_synonym(args: argparse.Namespace) -> int:
 
 
 def cmd_backtranslate(args: argparse.Namespace) -> int:
+    from . import augment as aug
+    from .translate import HttpTranslator, MockTranslator, TranslationChain
     corpus = _corpus(args)
     hops = tuple(h.strip() for h in args.chain.split(",") if h.strip())
     if args.mock:
@@ -176,6 +181,7 @@ def cmd_backtranslate(args: argparse.Namespace) -> int:
 
 
 def cmd_confusion(args: argparse.Namespace) -> int:
+    from . import confusion as conf
     predictions = ingest_predictions(args.predictions)
     labels = ingest_labels(args.labels)
     if args.scenes:
@@ -193,6 +199,7 @@ def cmd_confusion(args: argparse.Namespace) -> int:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
+    from . import discover
     if args.predictions:
         documents = ingest_predictions(args.predictions).entries
     else:
@@ -205,6 +212,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def cmd_index_query(args: argparse.Namespace) -> int:
+    from . import discover
     index = discover.load_index(args.index)
     for image_id in discover.query(index, args.terms):
         print(image_id)

@@ -80,19 +80,23 @@ def default_scene_keywords(labels: Sequence[LabelRecord]) -> dict[str, frozenset
     return keywords
 
 
+def _check_scene(scene: str, triggers: tuple[str, ...]) -> None:
+    if not scene or not triggers:
+        raise FormatError("empty scene or trigger list")
+    for trigger in triggers:
+        _check_word(trigger, "scene trigger", FormatError)
+
+
 def load_scene_keywords(path: str | Path) -> dict[str, frozenset[str]]:
     """TSV ``scene<TAB>trigger1,trigger2,...``, each scene on one line; file order defines scene order."""
-    keywords: dict[str, frozenset[str]] = {}
-    for where, (scene, triggers) in read_rows(path, "scene<TAB>trigger1,trigger2,...", keyed=True):
-        if not scene or not triggers:
-            raise FormatError(f"{where}: empty scene or trigger list")
-        keywords[scene] = frozenset(triggers)
-    return keywords
+    rows = read_rows(path, "scene<TAB>trigger1,trigger2,...", _check_scene, keyed=True)
+    return {scene: frozenset(triggers) for scene, triggers in rows}
 
 
 def load_attributes(path: str | Path) -> tuple[str, ...]:
     """One attribute token per line."""
-    return tuple(token for _, (token,) in read_rows(path, "attribute"))
+    rows = read_rows(path, "attribute", lambda token: _check_word(token, "attribute", FormatError))
+    return tuple(token for (token,) in rows)
 
 
 def scene_matrix(

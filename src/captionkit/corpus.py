@@ -27,15 +27,8 @@ CAPTION_FORMATS = ("rsicd_json", "jsonl")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a JSON escape of \ud800-\udfff
 
 _T = TypeVar("_T")
-
-_SPLIT_ALIASES = {
-    "train": "train",
-    "dev": "dev",
-    "val": "dev",
-    "valid": "dev",
-    "validation": "dev",
-    "test": "test",
-}
+# one encoder for every line: ``json.dumps`` with a non-default option builds a new one per call
+_to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class Split(str, Enum):
@@ -43,6 +36,16 @@ class Split(str, Enum):
     DEV = "dev"
     TEST = "test"
     UNASSIGNED = "unassigned"
+
+
+_SPLIT_ALIASES = {
+    "train": Split.TRAIN,
+    "dev": Split.DEV,
+    "val": Split.DEV,
+    "valid": Split.DEV,
+    "validation": Split.DEV,
+    "test": Split.TEST,
+}
 
 
 class CaptionSource(str, Enum):
@@ -155,7 +158,7 @@ class Finding:
 def _map_split(value: object) -> Split:
     if not isinstance(value, str):
         return Split.UNASSIGNED
-    return Split(_SPLIT_ALIASES.get(value.strip().lower(), "unassigned"))
+    return _SPLIT_ALIASES.get(value.strip().lower(), Split.UNASSIGNED)
 
 
 def _check_utf8(text: str, path: str | Path, lineno: int) -> None:
@@ -177,13 +180,15 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def read_rows(path: str | Path, shape: str, keyed: bool = False) -> Iterator[tuple[str, list]]:
-    """Yield (``path: line N``, stripped lower-cased cells) for each non-blank line, read by ``shape``.
+def read_rows(path: str | Path, shape: str, check: Callable[..., None], keyed: bool = False) -> Iterator[list]:
+    """Yield the stripped lower-cased cells of each non-blank line, read by ``shape``, judged by ``check``.
 
     ``shape`` names the ``<TAB>``-separated cells; a line with another count is a
     ``FormatError`` naming it and ``shape``, and a one-cell shape keeps the whole line.
     A cell whose name ends in ``,...`` is the tuple of its non-empty stripped comma
     items. With ``keyed``, a line repeating the first cell (its key) is a ``FormatError``.
+    ``check(*cells)`` judges each row as it is read; the ``FormatError`` or
+    ``ValidationError`` it raises is prefixed by the row's ``path: line N``.
     """
     names = shape.split("<TAB>")
     lists = [name.endswith(",...") for name in names]
@@ -197,8 +202,13 @@ def read_rows(path: str | Path, shape: str, keyed: bool = False) -> Iterator[tup
             if cells[0] in keys:
                 raise FormatError(f"{where}: repeated key {cells[0]!r}")
             keys.add(cells[0])
-        yield where, [tuple(filter(None, map(str.strip, cell.split(",")))) if is_list else cell
-                      for cell, is_list in zip(cells, lists)]
+        row = [tuple(filter(None, map(str.strip, cell.split(",")))) if is_list else cell
+               for cell, is_list in zip(cells, lists)]
+        try:
+            check(*row)
+        except (FormatError, ValidationError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+        yield row
 
 
 def _standard_fd(st: os.stat_result) -> int | None:
@@ -267,7 +277,7 @@ def _parse(text: str, path: str | Path, lineno: int | None = None) -> object:
         raise FormatError(f"{where}: {exc}") from exc
     if _SURROGATE_ESCAPE.search(text):  # a pair is one character; a lone half is no UTF-8 text
         try:
-            json.dumps(value, ensure_ascii=False).encode()
+            _to_json(value).encode()
         except UnicodeEncodeError as exc:
             raise FormatError(f"{where}: not UTF-8 ({exc.reason})") from exc
     return value
@@ -376,7 +386,7 @@ def jsonl_lines(corpus: Corpus) -> Iterator[str]:
         }
         if record.scene_class is not None:
             obj["scene"] = record.scene_class
-        yield json.dumps(obj, ensure_ascii=False) + "\n"
+        yield _to_json(obj) + "\n"
 
 
 def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:

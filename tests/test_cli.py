@@ -736,6 +736,29 @@ def test_translation_stack_loads_only_with_a_translator():
     assert "requests" in after
 
 
+# Lists the captionkit modules loaded, and whether logging is, after building
+# the CLI parser and after running `stats` on the corpus named by argv[1].
+LOADED_STAGES = """
+import json, sys
+from captionkit.cli import build_parser, run
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("captionkit") or name == "logging")
+build_parser()
+before = loaded()
+code = run(["stats", "--captions", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([before, code, loaded()]))
+"""
+
+
+def test_a_run_loads_only_the_modules_of_its_subcommand(data_dir, tmp_path):
+    proc = _python(["-c", LOADED_STAGES, str(data_dir / "captions_3x5.jsonl"), str(tmp_path / "stats.json")])
+    assert proc.returncode == 0, proc.stderr
+    before, code, after = json.loads(proc.stdout)
+    assert before == ["captionkit", "captionkit.cli", "captionkit.corpus", "captionkit.exceptions"]
+    assert code == 0
+    assert {"captionkit.vocabstats", "captionkit.tokens"} <= set(after)
+    assert not {"captionkit.bleu", "captionkit.augment", "captionkit.translate", "logging"} & set(after)
+
+
 # Runs the CLI with a file-size limit: a write past it fails with EFBIG, as
 # on a full disk. Python already ignores SIGXFSZ; the call makes that explicit.
 LIMITED_CLI = """

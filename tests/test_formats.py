@@ -30,7 +30,7 @@ from captionkit.corpus import (
 )
 from captionkit.exceptions import FormatError, ValidationError
 
-WORD_LIST = b"Beach\r\nsea\r\n\r\n  TREES  \n\t\nsea\tside\nsea\n"
+WORD_LIST = b"Beach\r\nsea\r\n\r\n  TREES  \n\t\nsea\n"
 
 
 def _jsonl(*lines: object) -> bytes:
@@ -65,9 +65,9 @@ EDGE_CORPUS = Corpus(
 )
 
 PARSED = [
-    ("dictionary", load_dictionary, WORD_LIST, frozenset({"beach", "sea", "trees", "sea\tside"})),
+    ("dictionary", load_dictionary, WORD_LIST, frozenset({"beach", "sea", "trees"})),
     ("dictionary-empty", load_dictionary, b"\n \n", frozenset()),
-    ("attributes", load_attributes, WORD_LIST, ("beach", "sea", "trees", "sea\tside", "sea")),
+    ("attributes", load_attributes, WORD_LIST, ("beach", "sea", "trees", "sea")),
     (
         "merge-rules",
         load_merge_rules,
@@ -144,6 +144,18 @@ REJECTED = [
     ("thesaurus-no-synonyms", load_thesaurus, b"big\t , ,\n", ValidationError, "'big'"),
     ("thesaurus-repeated-key", load_thesaurus, b"Several\tsome\n big \tlarge\nSEVERAL\tvarious\n",
      FormatError, "line 3: repeated key 'several'"),
+    # a word that is not one token is judged on the line that holds it
+    ("dictionary-edge-punctuation", load_dictionary, b"sea\r\nBeach.\r\n", ValidationError, "line 2: rule word"),
+    ("dictionary-tab", load_dictionary, b"beach\n\nsea\tside\n", ValidationError, "line 3: rule word"),
+    ("merge-two-word-replacement", load_merge_rules, b"a b\tab\nc shape\tc shaped\n", ValidationError,
+     "line 2: rule word"),
+    ("overrides-two-word-replacement", load_overrides, b"bulding\tbuild ing\n", ValidationError,
+     "line 1: rule word"),
+    ("thesaurus-lists-itself", load_thesaurus, b"big\tlarge\nbeach\tshore,beach\n", ValidationError,
+     "line 2: thesaurus entry 'beach' lists itself"),
+    ("scenes-two-word-trigger", load_scene_keywords, b"port\tdock\nbeach\tsea shore\n", FormatError,
+     "line 2: scene trigger"),
+    ("attributes-tab", load_attributes, b"white\r\nsea\tside\r\n", FormatError, "line 2: attribute"),
     ("scenes-missing-tab", load_scene_keywords, b"port harbour\n", FormatError, "line 1"),
     ("scenes-extra-tab", load_scene_keywords, b"port\tharbour\t\n", FormatError, "line 1"),
     ("scenes-empty-scene", load_scene_keywords, b"port\tdock\n \tharbour\n", FormatError, "line 2"),

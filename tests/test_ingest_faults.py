@@ -316,10 +316,10 @@ def test_cli_names_the_first_faulty_jsonl_line(tmp_path_factory, case):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-# Per rule file: its subcommand, lines every reader accepts, lines whose fault
-# the reader names by line, and lines whose value is judged after the whole
-# file is read (those errors name no file yet). In a keyed file, a line
-# repeating the key of an earlier one is a fault named by its line.
+# Per rule file: its subcommand, lines every reader accepts, lines whose shape
+# the reader rejects, and lines whose words it rejects. Each fault is named by
+# its line. In a keyed file, a line repeating the key of an earlier one is a
+# fault too.
 RULE_FILES = {
     "dictionary": ("augment correct", ["beach", "sea", "  Shore ", "c-shaped"], [],
                    ["Beach.", "parking lot", "a\tb", "_"]),
@@ -339,7 +339,7 @@ KEYED_RULE_FILES = {"overrides", "thesaurus", "scenes"}
 
 @st.composite
 def _rule_case(draw):
-    """A rule file's role and bytes holding at least one fault, and the first located line."""
+    """A rule file's role and bytes holding at least one fault, and the first faulty line."""
     role = draw(st.sampled_from(sorted(RULE_FILES)))
     _, valid, located, value = RULE_FILES[role]
     kinds = ["valid", "not-utf8", "value"] + (["located"] if located else [])
@@ -358,7 +358,7 @@ def _rule_case(draw):
             if key in keys:
                 kind = "located"
             keys.add(key)
-        if first is None and kind in ("located", "not-utf8"):
+        if first is None and kind != "valid":
             first = n
         content.append(text + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
     return role, b"".join(content), first
@@ -373,7 +373,7 @@ def test_cli_stops_on_a_faulty_rule_file(tmp_path_factory, case):
     bad.write_bytes(content)
     code, out, err = _run_with(base, RULE_FILES[role][0], role, bad)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {bad}: line {first}: " if first else "error: "), err
+    assert err.startswith(f"error: {bad}: line {first}: "), err
     assert err.count("\n") == 1 and err.endswith("\n")
 
 

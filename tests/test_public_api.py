@@ -1,4 +1,9 @@
+import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import captionkit
 
@@ -62,6 +67,39 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in captionkit.__all__:
         assert getattr(captionkit, name) is not None, name
+
+
+def test_every_public_name_is_the_object_its_module_defines():
+    for name in captionkit.__all__:
+        obj = getattr(captionkit, name)
+        assert obj.__module__.startswith("captionkit."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from captionkit import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(captionkit))
+    assert not hasattr(captionkit, "no_such_name")
+
+
+# After `import captionkit` alone, no stage module is loaded, and a submodule
+# resolves as an attribute of the package.
+SUBMODULE_ACCESS = """
+import sys
+import captionkit
+assert "captionkit.bleu" not in sys.modules
+print(captionkit.bleu.__name__, captionkit.bleu.sentence_bleu is captionkit.sentence_bleu)
+"""
+
+
+def test_a_submodule_resolves_after_importing_the_package():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", SUBMODULE_ACCESS], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "captionkit.bleu True\n"
 
 
 # Parameter lists are part of the contract too: (name, kind, default), with
