@@ -11,12 +11,12 @@ import logging
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .corpus import Caption, CaptionSource, Corpus, read_rows
+from .corpus import Corpus, ImageRecord, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
 from .tokens import _check_word, _words
 from .translate import TranslationChain, _PermanentFailure
@@ -24,6 +24,7 @@ from .translate import TranslationChain, _PermanentFailure
 logger = logging.getLogger(__name__)
 
 MergePattern = tuple[tuple[str, str], str]
+MAX_CONCURRENCY = 64  # back_translate's worker threads at most
 
 
 def _check_rule_words(*words: str) -> None:
@@ -185,6 +186,19 @@ def _apply_merges(tokens: tuple[str, ...], merges: Mapping[tuple[str, str], str]
     return out
 
 
+def _rebuild(corpus: Corpus, suffix: str, new_texts: Iterator[str | None], append: bool) -> Corpus:
+    """``corpus`` with ``new_texts``, one per text in corpus order, in place of its texts or, with
+    ``append``, after each record's texts; a None is left out, and a record left with no text is dropped."""
+    records = []
+    for record in corpus.records:
+        texts = (record.texts if append else ()) + tuple(filter(None, islice(new_texts, len(record.texts))))
+        if texts:
+            records.append(ImageRecord(record.image_id, texts, record.split, record.scene_class))
+        else:
+            logger.info("record %r dropped: all captions pruned as duplicates", record.image_id)
+    return Corpus(tuple(records), f"{corpus.provenance}-{suffix}")
+
+
 def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = False) -> Corpus:
     """Merge broken bigrams, apply overrides, spell-fix, optionally prune duplicates.
 
@@ -209,7 +223,7 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     if not rules.dictionary:
         raise ConfigurationError("correction rules have an empty dictionary")
     # kept space-joined: far smaller than the token tuples of an RSICD-size corpus
-    joined = [" ".join(_words(cap.raw)) for cap in corpus.captions()]
+    joined = [" ".join(_words(text)) for text in corpus.texts()]
     corpus_freq = Counter(chain.from_iterable(map(str.split, joined)))
     merges = dict(reversed(rules.merge_patterns))  # the first rule listed for a bigram wins
     merged_tokens = (merged for _, merged in rules.merge_patterns)
@@ -227,25 +241,18 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     touched = {first for first, _ in merges}.union(fixes)  # no other token meets a rule
 
     seen_norms: set[str] = set()
-    records_out = []
-    pending = iter(joined)
-    for record in corpus.records:
-        captions_out = []
-        for cap in record.captions:
-            norm = next(pending)
-            toks = norm.split()  # the caption's tokens again: a token holds no whitespace
-            if not touched.isdisjoint(toks):
-                norm = " ".join([fixes.get(tok, tok) for tok in _apply_merges(tuple(toks), merges)])
-            if prune_duplicates and norm:  # a caption without tokens has no form to duplicate
-                if norm in seen_norms:
-                    continue
-                seen_norms.add(norm)
-            captions_out.append(Caption(record.image_id, norm or cap.raw, cap.source))
-        if captions_out:
-            records_out.append(replace(record, captions=tuple(captions_out)))
-        else:
-            logger.info("record %r dropped: all captions pruned as duplicates", record.image_id)
-    return Corpus(tuple(records_out), f"{corpus.provenance}-corrected")
+
+    def corrected(text: str, norm: str) -> str | None:
+        toks = norm.split()  # the caption's tokens again: a token holds no whitespace
+        if not touched.isdisjoint(toks):
+            norm = " ".join([fixes.get(tok, tok) for tok in _apply_merges(tuple(toks), merges)])
+        if prune_duplicates and norm:  # a caption without tokens has no form to duplicate
+            if norm in seen_norms:
+                return None
+            seen_norms.add(norm)
+        return norm or text
+
+    return _rebuild(corpus, "corrected", map(corrected, corpus.texts(), joined), append=False)
 
 
 def synonym_expand(
@@ -270,24 +277,22 @@ def synonym_expand(
     rng = random.Random(seed)
     entries = thesaurus.entries
     seen_norms: set[str] = set()
-    records_out = []
-    for record in corpus.records:
-        variants = []
-        for cap in record.captions:
-            toks = list(_words(cap.raw))
-            norm = " ".join(toks)
-            if not toks or norm in seen_norms:
-                continue
-            seen_norms.add(norm)
-            covered = [i for i, tok in enumerate(toks) if tok in entries]
-            if not covered:
-                continue
-            picks = rng.sample(covered, min(replacements_per_caption, len(covered)))
-            for position in sorted(picks):
-                toks[position] = rng.choice(entries[toks[position]])
-            variants.append(Caption(record.image_id, " ".join(toks), CaptionSource.AUGMENTED))
-        records_out.append(replace(record, captions=record.captions + tuple(variants)))
-    return Corpus(tuple(records_out), f"{corpus.provenance}-synonym")
+
+    def variant(text: str) -> str | None:
+        toks = list(_words(text))
+        norm = " ".join(toks)
+        if not toks or norm in seen_norms:
+            return None
+        seen_norms.add(norm)
+        covered = [i for i, tok in enumerate(toks) if tok in entries]
+        if not covered:
+            return None
+        picks = rng.sample(covered, min(replacements_per_caption, len(covered)))
+        for position in sorted(picks):
+            toks[position] = rng.choice(entries[toks[position]])
+        return " ".join(toks)
+
+    return _rebuild(corpus, "synonym", map(variant, corpus.texts()), append=True)
 
 
 def back_translate(
@@ -303,17 +308,19 @@ def back_translate(
     Only transient translation failures are retried, with exponential backoff.
     A caption whose round-trip fails is logged and kept without a variant; if
     every caption fails the whole operation errors. Requests run on a pool of
-    ``concurrency`` worker threads (``ConfigurationError`` below one, as for a negative
+    ``concurrency`` worker threads, never more than there are captions
+    (``ConfigurationError`` below one or above ``MAX_CONCURRENCY``, as for a negative
     ``max_retries``); output order always follows input order.
     """
     if max_retries < 0:
         raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
     if concurrency < 1:
         raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
-    captions = list(corpus.captions())
+    if concurrency > MAX_CONCURRENCY:
+        raise ConfigurationError(f"concurrency must be <= {MAX_CONCURRENCY}, got {concurrency}")
+    image_ids = [record.image_id for record in corpus.records for _ in record.texts]
 
-    def roundtrip(cap: Caption) -> str | None:
-        text = cap.raw
+    def roundtrip(image_id: str, text: str) -> str | None:
         for src, dst in chain.legs():
             for attempt in range(max_retries + 1):
                 try:
@@ -321,26 +328,19 @@ def back_translate(
                     break
                 except TranslationError as exc:
                     if attempt == max_retries or isinstance(exc, _PermanentFailure):
-                        logger.warning("back-translation failed for %r: %s", cap.image_id, exc)
+                        logger.warning("back-translation failed for %r: %s", image_id, exc)
                         return None
                     if backoff > 0:
                         time.sleep(backoff * (2**attempt))
         return text
 
     from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that back-translates
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        results = list(pool.map(roundtrip, captions))
+    with ThreadPoolExecutor(max_workers=max(1, min(concurrency, len(image_ids)))) as pool:
+        results = list(pool.map(roundtrip, image_ids, corpus.texts()))
 
-    if captions and all(result is None for result in results):
+    if results and all(result is None for result in results):
         raise TranslationError("back-translation failed for every caption")
 
-    pending = iter(results)
-    records_out = []
-    for record in corpus.records:
-        variants = []
-        for cap in record.captions:
-            result = next(pending)
-            if result is not None and result.strip() and result != cap.raw:
-                variants.append(Caption(record.image_id, result, CaptionSource.AUGMENTED))
-        records_out.append(replace(record, captions=record.captions + tuple(variants)))
-    return Corpus(tuple(records_out), f"{corpus.provenance}-backtranslated")
+    variants = (result if result and result.strip() and result != text else None
+                for text, result in zip(corpus.texts(), results))
+    return _rebuild(corpus, "backtranslated", variants, append=True)

@@ -162,7 +162,7 @@ def score_predictions(
         tokens = _words(caption)
         if not tokens:
             continue
-        stats = _stats(tokens, [_words(cap.raw) for cap in record.captions], MAX_ORDER)
+        stats = _stats(tokens, list(map(_words, record.texts)), MAX_ORDER)
         corpus_stats = [a + b for a, b in zip(corpus_stats, stats)]
         per_image.append((image_id, _result(stats)))
     return _result(corpus_stats), per_image, missing

@@ -184,14 +184,12 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     from . import confusion as conf
     predictions = ingest_predictions(args.predictions)
     labels = ingest_labels(args.labels)
-    if args.scenes:
-        keywords = conf.load_scene_keywords(args.scenes)
-    else:
-        keywords = conf.default_scene_keywords(labels)
+    keywords = conf.load_scene_keywords(args.scenes) if args.scenes else conf.default_scene_keywords(labels)
     attrs = conf.load_attributes(args.attributes) if args.attributes else ()
-    report = conf.scene_matrix(
-        predictions, labels, keywords, fold_plural_s=not args.no_plural_fold, attributes=attrs
-    )
+    try:
+        report = conf.scene_matrix(predictions, labels, keywords, not args.no_plural_fold, attrs)
+    except ConfigurationError as exc:  # a label scene that the --scenes file does not list
+        raise ConfigurationError(f"{args.labels}: {exc} in {args.scenes}") from exc
     if args.out:
         conf.matrix_export(report, args.out)
     _emit(report.to_dict(), str(Path(args.out) / "report.json") if args.out else None)
@@ -203,10 +201,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     if args.predictions:
         documents = ingest_predictions(args.predictions).entries
     else:
-        documents = {
-            record.image_id: " ".join(cap.raw for cap in record.captions)
-            for record in _corpus(args).records
-        }
+        documents = {record.image_id: " ".join(record.texts) for record in _corpus(args).records}
     discover.save_index(discover.build_index(documents), args.out)
     return 0
 

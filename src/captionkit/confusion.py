@@ -115,7 +115,8 @@ def scene_matrix(
     """
     for label in labels:
         if label.scene not in scene_keywords:
-            raise ConfigurationError(f"no keyword set configured for scene {label.scene!r}")
+            raise ConfigurationError(f"image {label.image_id!r}: "
+                                     f"no keyword set configured for scene {label.scene!r}")
     scenes = tuple(scene_keywords)
     attributes = tuple(dict.fromkeys(attributes))
     matrix = {(true, col): 0 for true in scenes for col in scenes}

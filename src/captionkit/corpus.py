@@ -18,6 +18,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
@@ -71,21 +72,25 @@ class Caption:
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """An image with its ordered caption list and optional scene class."""
+    """An image with its ordered caption texts and optional scene class."""
 
     image_id: str
-    captions: tuple[Caption, ...]
+    texts: tuple[str, ...]
     split: Split = Split.UNASSIGNED
     scene_class: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.captions:
+        if not self.texts:
             raise ValidationError(f"record {self.image_id!r} has no captions")
-        for cap in self.captions:
-            if cap.image_id != self.image_id:
-                raise ValidationError(
-                    f"caption for {cap.image_id!r} attached to record {self.image_id!r}"
-                )
+        if not self.image_id:
+            raise ValidationError("record with empty image_id")
+        for text in self.texts:
+            if not isinstance(text, str) or not text.strip():
+                raise ValidationError(f"empty caption for image {self.image_id!r}")
+
+    @property
+    def captions(self) -> tuple[Caption, ...]:  # built on access, for library callers
+        return tuple(Caption(self.image_id, text) for text in self.texts)
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,14 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def captions(self) -> Iterator[Caption]:
-        for record in self.records:
-            yield from record.captions
+    def texts(self) -> Iterator[str]:
+        return chain.from_iterable(record.texts for record in self.records)
+
+    def captions(self) -> Iterator[Caption]:  # built on access, for library callers
+        return chain.from_iterable(record.captions for record in self.records)
 
     def caption_count(self) -> int:
-        return sum(len(record.captions) for record in self.records)
+        return sum(len(record.texts) for record in self.records)
 
     def by_id(self) -> dict[str, ImageRecord]:
         return {record.image_id: record for record in self.records}
@@ -176,7 +183,7 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             _check_utf8(line, path, lineno)
-            if line.strip():
+            if not line.isspace():  # a line read from a file is never empty
                 yield lineno, line
 
 
@@ -266,16 +273,16 @@ def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequenc
         writer.writerows(rows)
 
 
-def _parse(text: str, path: str | Path, lineno: int | None = None) -> object:
-    """JSON ``text``: a whole file or line ``lineno`` of ``path``; every fault is a ``FormatError``."""
-    where = f"{path}: line {lineno}" if lineno else str(path)
+def _parse(text: str, where: str, one_line: bool = False) -> object:
+    """JSON ``text``, a whole file or (``one_line``) a line, read at ``where``; every fault is a ``FormatError``."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {lineno or exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        at = where if one_line else f"{where}: line {exc.lineno}"
+        raise FormatError(f"{at}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer past CPython's digit limit, deep nesting
         raise FormatError(f"{where}: {exc}") from exc
-    if _SURROGATE_ESCAPE.search(text):  # a pair is one character; a lone half is no UTF-8 text
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):  # a pair is one character, a lone half no UTF-8 text
         try:
             _to_json(value).encode()
         except UnicodeEncodeError as exc:
@@ -287,13 +294,14 @@ def read_json(path: str | Path) -> object:
     """Parse a whole JSON file, checked for bytes that are not UTF-8 before it is parsed."""
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     _check_utf8(text, path, 1)
-    return _parse(text, path)
+    return _parse(text, str(path))
 
 
 def _jsonl_values(path: Path) -> Iterator[tuple[str, object]]:
     """Yield (location, parsed value) for each non-blank line."""
     for lineno, line in _lines(path):
-        yield f"{path}: line {lineno}", _parse(line, path, lineno)
+        where = f"{path}: line {lineno}"
+        yield where, _parse(line, where, one_line=True)
 
 
 def _require_str(obj: dict, key: str) -> str:
@@ -325,29 +333,34 @@ def _by_id(entries: Iterable, id_key: str, build: Callable[[dict, str], _T]) -> 
     return items
 
 
-def _sentence_raw(sentence: object) -> object:
-    if not isinstance(sentence, dict) or not isinstance(sentence.get("raw"), str):
-        raise FormatError("each sentence needs a string 'raw' field")
-    return sentence["raw"]
+def _sentence_raws(sentences: list, image_id: str) -> tuple:
+    """Each sentence's ``raw`` text; a blank one before a sentence without a string ``raw`` is raised first."""
+    raws = []
+    for sentence in sentences:
+        if not isinstance(sentence, dict) or not isinstance(sentence.get("raw"), str):
+            if raws:
+                ImageRecord(image_id, tuple(raws))  # raises at a blank text
+            raise FormatError("each sentence needs a string 'raw' field")
+        raws.append(sentence["raw"])
+    return tuple(raws)
 
 
-# Per caption format: image id, caption list and scene keys, and a caption item's text.
-_RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[object], object]]] = {
-    "jsonl": ("image_id", "captions", "scene", lambda item: item),
-    "rsicd_json": ("filename", "sentences", "class", _sentence_raw),
+# Per caption format: image id, caption list and scene keys, and the list's texts.
+_RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[list, str], tuple]]] = {
+    "jsonl": ("image_id", "captions", "scene", lambda items, _: tuple(items)),
+    "rsicd_json": ("filename", "sentences", "class", _sentence_raws),
 }
 
 
 def _record(obj: dict, image_id: str, format: str) -> ImageRecord:
     """Map one entry's fields onto an ``ImageRecord``, whose types judge the values."""
-    _, list_key, scene_key, text_of = _RECORD_FIELDS[format]
+    _, list_key, scene_key, texts_of = _RECORD_FIELDS[format]
     items = obj.get(list_key)
     if not isinstance(items, list):
         raise ValidationError(f"missing or empty {list_key!r} list")
-    captions = tuple(Caption(image_id, text_of(item)) for item in items)
     scene = obj.get(scene_key)
     scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
-    return ImageRecord(image_id, captions, _map_split(obj.get("split")), scene_class)
+    return ImageRecord(image_id, texts_of(items, image_id), _map_split(obj.get("split")), scene_class)
 
 
 def ingest_captions(
@@ -379,11 +392,7 @@ def ingest_captions(
 def jsonl_lines(corpus: Corpus) -> Iterator[str]:
     """Yield the flat captions-JSONL serialization one record line at a time."""
     for record in corpus.records:
-        obj: dict = {
-            "image_id": record.image_id,
-            "split": record.split.value,
-            "captions": [cap.raw for cap in record.captions],
-        }
+        obj: dict = {"image_id": record.image_id, "split": record.split.value, "captions": record.texts}
         if record.scene_class is not None:
             obj["scene"] = record.scene_class
         yield _to_json(obj) + "\n"
@@ -428,9 +437,5 @@ def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:
 
     Nothing else can be found: a ``Corpus`` already rejects repeated ids and empty captions.
     """
-    return [
-        Finding("caption-count", f"record {r.image_id!r} has {len(r.captions)} captions, expected 5",
-                r.image_id)
-        for r in corpus.records
-        if strict_rsicd and len(r.captions) != 5
-    ]
+    return [Finding("caption-count", f"record {r.image_id!r} has {len(r.texts)} captions, expected 5", r.image_id)
+            for r in corpus.records if strict_rsicd and len(r.texts) != 5]

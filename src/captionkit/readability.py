@@ -100,7 +100,7 @@ def report_from_aggregates(
 
 def report(corpus: Corpus) -> ReadabilityReport:
     """Compute the full readability panel over every caption in the corpus."""
-    texts = [cap.raw for cap in corpus.captions()]
+    texts = list(corpus.texts())
     counts = Counter(chain.from_iterable(map(_words, texts)))
     sentences = sum(len(split_sentences(text)) for text in texts)
     words = counts.total()

@@ -51,12 +51,12 @@ def profile(corpus: Corpus) -> VocabularyProfile:
         raise DegenerateInputError("cannot profile an empty corpus")
     freq: Counter[str] = Counter()
     norms_seen: set[object] = set()
-    total_captions = 0
+    total_captions = corpus.caption_count()
     within_image_duplicates = 0
     for record in corpus.records:
         record_norms: set[object] = set()
-        for cap in record.captions:
-            toks = _words(cap.raw)
+        for text in record.texts:
+            toks = _words(text)
             freq.update(toks)
             # a caption without tokens duplicates nothing, so its key equals no other key
             norm = " ".join(toks) or object()
@@ -64,7 +64,6 @@ def profile(corpus: Corpus) -> VocabularyProfile:
             if norm in record_norms:
                 within_image_duplicates += 1
             record_norms.add(norm)
-            total_captions += 1
     unique_captions = len(norms_seen)
     return VocabularyProfile(
         freq=dict(freq),

@@ -5,7 +5,7 @@ from typing import Iterable, Mapping
 
 import pytest
 
-from captionkit.corpus import Caption, Corpus, ImageRecord
+from captionkit.corpus import Corpus, ImageRecord
 
 # hypothesis imports this module, and through it libcst, to write the patch for a
 # failing test; libcst warns on import, and under `pytest -W error` that warning
@@ -26,8 +26,7 @@ def corpus_from_documents(documents: Mapping[str, Iterable[str]], provenance: st
     records = []
     for image_id, texts in documents.items():
         image_id = image_id.lower()
-        captions = tuple(Caption(image_id, text) for text in texts)
-        records.append(ImageRecord(image_id, captions))
+        records.append(ImageRecord(image_id, tuple(texts)))
     return Corpus(tuple(records), provenance)
 
 

@@ -310,7 +310,7 @@ def oracle_correct(corpus, rules, prune_duplicates=False):
             text = " ".join(toks) if toks else cap.raw
             captions_out.append(Caption(record.image_id, text, cap.source))
         if captions_out:
-            records_out.append(replace(record, captions=tuple(captions_out)))
+            records_out.append(replace(record, texts=tuple(cap.raw for cap in captions_out)))
     return Corpus(tuple(records_out), f"{corpus.provenance}-corrected")
 
 
@@ -334,7 +334,7 @@ def oracle_synonym_expand(corpus, thesaurus, replacements_per_caption=1, *, seed
             for position in sorted(picks):
                 toks[position] = rng.choice(thesaurus.entries[toks[position]])
             variants.append(Caption(record.image_id, " ".join(toks), CaptionSource.AUGMENTED))
-        records_out.append(replace(record, captions=record.captions + tuple(variants)))
+        records_out.append(replace(record, texts=record.texts + tuple(cap.raw for cap in variants)))
     return Corpus(tuple(records_out), f"{corpus.provenance}-synonym")
 
 
@@ -420,7 +420,8 @@ def _oracle_record(obj, image_id, where, format):
         captions.append(Caption(image_id, text))
     scene = obj.get(scene_key)
     scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
-    return ImageRecord(image_id, tuple(captions), _map_split(obj.get("split")), scene_class)
+    texts = tuple(cap.raw for cap in captions)
+    return ImageRecord(image_id, texts, _map_split(obj.get("split")), scene_class)
 
 
 def _oracle_label(obj, image_id, where):

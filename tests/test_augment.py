@@ -600,6 +600,41 @@ def test_back_translate_rejects_zero_concurrency():
     assert translator.calls == 0
 
 
+def _recording_pools(monkeypatch):
+    """The ``max_workers`` of every thread pool built from here on."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def test_back_translate_rejects_concurrency_above_the_limit(monkeypatch):
+    sizes = _recording_pools(monkeypatch)
+    corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
+    translator = _FlakyTranslator(failures=0)
+    limit = augment.MAX_CONCURRENCY
+    with pytest.raises(ConfigurationError, match=rf"^concurrency must be <= {limit}, got {limit + 1}$"):
+        back_translate(corpus, TranslationChain(("es",), translator), concurrency=limit + 1)
+    assert translator.calls == 0
+    assert sizes == []
+
+
+def test_back_translate_starts_no_more_threads_than_captions(monkeypatch):
+    sizes = _recording_pools(monkeypatch)
+    corpus = corpus_from_documents({"i1": ["a beach"], "i2": ["white waves"]}, "t")
+    chain = TranslationChain(("es", "de"), MockTranslator())
+    widest = back_translate(corpus, chain, concurrency=augment.MAX_CONCURRENCY)
+    assert sizes == [2]
+    assert widest == back_translate(corpus, chain, concurrency=1)
+
+
 def test_back_translate_concurrent_matches_serial():
     corpus = corpus_from_documents(
         {f"i{n}": [f"several green trees number {n}", "beside a beach"] for n in range(5)}, "t"

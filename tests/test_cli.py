@@ -419,6 +419,17 @@ def test_score_confusion_cli(tmp_path, capsys):
     assert _stdout_json(capsys)["diagonal_accuracy"] == 1.0
 
 
+def test_score_confusion_names_a_label_scene_the_scenes_file_lacks(data_dir, tmp_path, capsys):
+    labels = data_dir / "labels_8scenes.jsonl"  # its first label, n1, is an airport
+    scenes = tmp_path / "scenes.tsv"
+    scenes.write_text("beach\tbeach,coast\n", encoding="utf-8")
+    assert run(["score-confusion", "--predictions", str(data_dir / "predictions_3.jsonl"),
+                "--labels", str(labels), "--scenes", str(scenes)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labels}: image 'n1': no keyword set configured for scene 'airport' in {scenes}\n"
+    )
+
+
 def test_score_confusion_no_plural_fold(tmp_path, capsys):
     preds = write_jsonl(tmp_path / "p.jsonl", [{"image_id": "n1", "caption": "two airports"}])
     labels = write_jsonl(tmp_path / "l.jsonl", [{"image_id": "n1", "scene": "airport"}])
@@ -671,6 +682,12 @@ def test_backtranslate_workers_option(corpus_file, tmp_path, capsys):
     assert "error: concurrency must be >= 1, got 0" in capsys.readouterr().err
     # --workers belongs to backtranslate alone
     assert run(["--workers", "2", "stats", "--captions", corpus_file]) == 2
+
+
+def test_backtranslate_workers_above_the_limit_exit_2(corpus_file, capsys):
+    argv = ["augment", "backtranslate", "--captions", corpus_file, "--mock", "--workers", "65"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: concurrency must be <= 64, got 65\n"
 
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")

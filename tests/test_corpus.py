@@ -1,3 +1,4 @@
+import json
 import re
 import threading
 
@@ -173,6 +174,18 @@ def test_empty_caption_rejected(tmp_path):
         ingest_captions(path, "jsonl")
 
 
+@pytest.mark.parametrize("sentences, fault, message", [
+    ([{"raw": "a"}, {"raw": " "}, "not an object"], ValidationError, "empty caption for image 'i1'"),
+    ([{"raw": "a"}, "not an object", {"raw": " "}], FormatError, "each sentence needs a string 'raw' field"),
+    ([{"raw": 3}, {"raw": " "}], FormatError, "each sentence needs a string 'raw' field"),
+], ids=["blank-first", "malformed-first", "raw-not-str"])
+def test_rsicd_sentence_faults_in_list_order(tmp_path, sentences, fault, message):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"images": [{"filename": "i1", "sentences": sentences}]}), encoding="utf-8")
+    with pytest.raises(fault, match=re.escape(f"{path}: images[0]: {message}")):
+        ingest_captions(path, "rsicd_json")
+
+
 def test_roundtrip_jsonl(tmp_path, data_dir):
     corpus = ingest_captions(data_dir / "captions_3x5.jsonl", "jsonl")
     out = tmp_path / "again.jsonl"
@@ -201,8 +214,7 @@ def test_total_caption_count_is_sum(data_dir):
 
 
 def _record(image_id, n_captions):
-    captions = tuple(Caption(image_id, f"caption {i}") for i in range(n_captions))
-    return ImageRecord(image_id, captions)
+    return ImageRecord(image_id, tuple(f"caption {i}" for i in range(n_captions)))
 
 
 def test_validate_strict_five_ok():
@@ -236,13 +248,15 @@ def test_record_invariants():
         ImageRecord("i1", ())
     with pytest.raises(ValidationError):
         Caption("i1", "   ")
-    with pytest.raises(ValidationError):
-        ImageRecord("i1", (Caption("other", "text"),))
+    with pytest.raises(ValidationError, match="empty caption for image 'i1'"):
+        ImageRecord("i1", ("text", "   "))
     # ingest builds records straight from these checks, so they must hold for any JSON value
     with pytest.raises(ValidationError, match="empty caption"):
         Caption("i1", 42)
     with pytest.raises(ValidationError, match="has no captions"):
         ImageRecord("", ())
+    with pytest.raises(ValidationError, match="record with empty image_id"):
+        ImageRecord("", ("text",))
 
 
 def test_ingest_labels(data_dir):

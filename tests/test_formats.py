@@ -20,7 +20,6 @@ from captionkit.augment import (
 )
 from captionkit.confusion import load_attributes, load_scene_keywords
 from captionkit.corpus import (
-    Caption,
     Corpus,
     ImageRecord,
     Split,
@@ -52,8 +51,7 @@ def _rsicd_corpus(path):
 
 
 def _record(image_id, texts, split=Split.UNASSIGNED, scene=None):
-    captions = tuple(Caption(image_id, text) for text in texts)
-    return ImageRecord(image_id, captions, split, scene)
+    return ImageRecord(image_id, tuple(texts), split, scene)
 
 
 EDGE_CORPUS = Corpus(
