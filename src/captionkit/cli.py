@@ -188,8 +188,8 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     attrs = conf.load_attributes(args.attributes) if args.attributes else ()
     try:
         report = conf.scene_matrix(predictions, labels, keywords, not args.no_plural_fold, attrs)
-    except ConfigurationError as exc:  # a label scene that the --scenes file does not list
-        raise ConfigurationError(f"{args.labels}: {exc} in {args.scenes}") from exc
+    except ConfigurationError as exc:  # a label scene --scenes lacks, or (without it) not one token
+        raise ConfigurationError(f"{args.labels}: {exc}" + (f" in {args.scenes}" if args.scenes else "")) from exc
     if args.out:
         conf.matrix_export(report, args.out)
     _emit(report.to_dict(), str(Path(args.out) / "report.json") if args.out else None)

@@ -430,6 +430,16 @@ def test_score_confusion_names_a_label_scene_the_scenes_file_lacks(data_dir, tmp
     )
 
 
+def test_score_confusion_names_the_labels_file_of_a_scene_that_cannot_trigger_itself(tmp_path, capsys):
+    preds = write_jsonl(tmp_path / "p.jsonl", [{"image_id": "n1", "caption": "cars in a parking lot"}])
+    labels = write_jsonl(tmp_path / "l.jsonl", [{"image_id": "n1", "scene": "parking lot"}])
+    assert run(["score-confusion", "--predictions", str(preds), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labels}: scene trigger or attribute must be one lower-case token as the tokenizer "
+        "reads it, got 'parking lot'\n"
+    )
+
+
 def test_score_confusion_no_plural_fold(tmp_path, capsys):
     preds = write_jsonl(tmp_path / "p.jsonl", [{"image_id": "n1", "caption": "two airports"}])
     labels = write_jsonl(tmp_path / "l.jsonl", [{"image_id": "n1", "scene": "airport"}])
