@@ -27,6 +27,11 @@ MergePattern = tuple[tuple[str, str], str]
 MAX_CONCURRENCY = 64  # back_translate's worker threads at most
 
 
+def _check_replacements(replacements_per_caption: int) -> None:
+    if replacements_per_caption < 1:
+        raise ConfigurationError("replacements_per_caption must be >= 1")
+
+
 def _check_rule_words(*words: str) -> None:
     for word in words:
         _check_word(word, "rule word")
@@ -272,8 +277,7 @@ def synonym_expand(
     """
     if not len(thesaurus):
         raise ConfigurationError("thesaurus is empty")
-    if replacements_per_caption < 1:
-        raise ConfigurationError("replacements_per_caption must be >= 1")
+    _check_replacements(replacements_per_caption)
     rng = random.Random(seed)
     entries = thesaurus.entries
     seen_norms: set[str] = set()

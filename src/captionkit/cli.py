@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 from .corpus import (
     CAPTION_FORMATS,
     Corpus,
+    _located,
     atomic_write,
     ingest_captions,
     ingest_labels,
@@ -57,12 +58,12 @@ def _corpus(args: argparse.Namespace) -> Corpus:
     return ingest_captions(args.captions, args.format)
 
 
-def _measure(path: str, stage: Callable[[Corpus], _R], corpus: Corpus) -> _R:
-    """``stage(corpus)``; a corpus the stage cannot measure names ``path`` in its error."""
+def _measure(path: str, stage: Callable[..., _R], *args, **kwargs) -> _R:
+    """``stage(*args, **kwargs)``, whose every fault is one of the file at ``path`` and names it."""
     try:
-        return stage(corpus)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"{path}: {exc}") from exc
+        return stage(*args, **kwargs)
+    except CaptionKitError as exc:
+        raise _located(path, exc) from exc
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -146,19 +147,19 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 def cmd_correct(args: argparse.Namespace) -> int:
     from . import augment as aug
     corpus = _corpus(args)
-    rules = aug.CorrectionRules(
-        dictionary=aug.load_dictionary(args.dictionary),
-        merge_patterns=aug.load_merge_rules(args.merge_rules) if args.merge_rules else (),
-        manual_overrides=aug.load_overrides(args.overrides) if args.overrides else {},
-    )
-    _emit(jsonl_lines(aug.correct(corpus, rules, prune_duplicates=args.prune_duplicates)), args.out)
+    rules = aug.CorrectionRules(aug.load_dictionary(args.dictionary),
+                                aug.load_merge_rules(args.merge_rules) if args.merge_rules else (),
+                                aug.load_overrides(args.overrides) if args.overrides else {})
+    _emit(jsonl_lines(_measure(args.dictionary, aug.correct, corpus, rules, args.prune_duplicates)), args.out)
     return 0
 
 
 def cmd_synonym(args: argparse.Namespace) -> int:
     from . import augment as aug
     corpus = _corpus(args)
-    result = aug.synonym_expand(corpus, aug.load_thesaurus(args.thesaurus), args.replacements, seed=args.seed)
+    thesaurus = aug.load_thesaurus(args.thesaurus)
+    aug._check_replacements(args.replacements)  # outside _measure: an option's fault names no file
+    result = _measure(args.thesaurus, aug.synonym_expand, corpus, thesaurus, args.replacements, seed=args.seed)
     _emit(jsonl_lines(result), args.out)
     return 0
 
@@ -189,7 +190,9 @@ def cmd_confusion(args: argparse.Namespace) -> int:
     try:
         report = conf.scene_matrix(predictions, labels, keywords, not args.no_plural_fold, attrs)
     except ConfigurationError as exc:  # a label scene --scenes lacks, or (without it) not one token
-        raise ConfigurationError(f"{args.labels}: {exc}" + (f" in {args.scenes}" if args.scenes else "")) from exc
+        raise _located(args.labels, ConfigurationError(f"{exc} in {args.scenes}") if args.scenes else exc) from exc
+    if report.missing_ids:
+        print(f"warning: {len(report.missing_ids)} labeled images have no prediction; skipped", file=sys.stderr)
     if args.out:
         conf.matrix_export(report, args.out)
     _emit(report.to_dict(), str(Path(args.out) / "report.json") if args.out else None)

@@ -10,7 +10,6 @@ optional trailing-'s' folding on by default.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -18,8 +17,6 @@ from typing import Mapping, Sequence
 from .corpus import LabelRecord, PredictionSet, read_rows, write_csv
 from .exceptions import ConfigurationError, FormatError
 from .tokens import _check_word, _words
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -111,12 +108,11 @@ def scene_matrix(
     Presence-based: one image increments a cell at most once. The same pass
     counts, per attribute token and true scene, the captions mentioning that
     attribute; an attribute listed twice is counted once. Labeled images
-    without a prediction are reported on the result and skipped.
+    without a prediction are skipped and listed in ``missing_ids``; nothing is logged.
     """
     for label in labels:
         if label.scene not in scene_keywords:
-            raise ConfigurationError(f"image {label.image_id!r}: "
-                                     f"no keyword set configured for scene {label.scene!r}")
+            raise ConfigurationError(f"image {label.image_id!r}: no keyword set configured for scene {label.scene!r}")
     scenes = tuple(scene_keywords)
     attributes = tuple(dict.fromkeys(attributes))
     matrix = {(true, col): 0 for true in scenes for col in scenes}
@@ -136,8 +132,6 @@ def scene_matrix(
             matrix[(label.scene, col)] += 1
         for attr in set().union(*(attribute_lookup.get(m, ()) for m in mention_set)):
             attribute_counts[(attr, label.scene)] += 1
-    if missing:
-        logger.warning("%d labeled images have no prediction; skipped", len(missing))
     scored = sum(totals.values())
     diagonal = sum(matrix[(scene, scene)] for scene in scenes)
     return ConfusionReport(

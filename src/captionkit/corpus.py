@@ -22,7 +22,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
-from .exceptions import FormatError, ValidationError
+from .exceptions import CaptionKitError, FormatError, ValidationError
 
 CAPTION_FORMATS = ("rsicd_json", "jsonl")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a JSON escape of \ud800-\udfff
@@ -72,7 +72,7 @@ class Caption:
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """An image with its ordered caption texts and optional scene class."""
+    """An image with its ordered caption texts, a tuple (a ``str`` is refused, not split), and optional scene."""
 
     image_id: str
     texts: tuple[str, ...]
@@ -80,6 +80,8 @@ class ImageRecord:
     scene_class: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.texts, tuple):
+            raise ValidationError(f"record {self.image_id!r}: texts must be a tuple, got {type(self.texts).__name__}")
         if not self.texts:
             raise ValidationError(f"record {self.image_id!r} has no captions")
         if not self.image_id:
@@ -95,7 +97,7 @@ class ImageRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable collection of image records; a repeated image id raises ``ValidationError``.
+    """Ordered, immutable tuple of image records; a repeated image id raises ``ValidationError``.
 
     Augmentation and correction never mutate a corpus; they build a new one
     with a derived provenance label.
@@ -105,6 +107,8 @@ class Corpus:
     provenance: str = "unlabeled"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.records, tuple):
+            raise ValidationError(f"corpus records must be a tuple, got {type(self.records).__name__}")
         seen: set[str] = set()
         for record in self.records:
             if record.image_id in seen:
@@ -178,13 +182,18 @@ def _check_utf8(text: str, path: str | Path, lineno: int) -> None:
             raise FormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, line) for each non-blank line of a UTF-8 text file, checked in file order."""
+def _located(where: object, exc: CaptionKitError) -> CaptionKitError:
+    """``exc`` as its own class with ``where: `` before its message: the one place a caught fault gets a location."""
+    return type(exc)(f"{where}: {exc}")
+
+
+def _lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield (``path: line N``, line) for each non-blank line of a UTF-8 text file, checked in file order."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             _check_utf8(line, path, lineno)
             if not line.isspace():  # a line read from a file is never empty
-                yield lineno, line
+                yield f"{path}: line {lineno}", line
 
 
 def read_rows(path: str | Path, shape: str, check: Callable[..., None], keyed: bool = False) -> Iterator[list]:
@@ -194,27 +203,24 @@ def read_rows(path: str | Path, shape: str, check: Callable[..., None], keyed: b
     ``FormatError`` naming it and ``shape``, and a one-cell shape keeps the whole line.
     A cell whose name ends in ``,...`` is the tuple of its non-empty stripped comma
     items. With ``keyed``, a line repeating the first cell (its key) is a ``FormatError``.
-    ``check(*cells)`` judges each row as it is read; the ``FormatError`` or
-    ``ValidationError`` it raises is prefixed by the row's ``path: line N``.
+    ``check(*cells)`` judges each row as it is read. Every fault of a row, its
+    shape, its key or ``check``'s ``CaptionKitError``, is prefixed by its ``path: line N``.
     """
     names = shape.split("<TAB>")
-    lists = [name.endswith(",...") for name in names]
     keys: set[str] = set()
-    for lineno, line in _lines(path):
-        where = f"{path}: line {lineno}"
-        cells = [cell.strip().lower() for cell in (line.split("\t") if len(names) > 1 else [line])]
-        if len(cells) != len(names):
-            raise FormatError(f"{where}: expected '{shape}'")
-        if keyed:
-            if cells[0] in keys:
-                raise FormatError(f"{where}: repeated key {cells[0]!r}")
-            keys.add(cells[0])
-        row = [tuple(filter(None, map(str.strip, cell.split(",")))) if is_list else cell
-               for cell, is_list in zip(cells, lists)]
+    for where, line in _lines(path):
         try:
+            cells = [cell.strip().lower() for cell in (line.split("\t") if len(names) > 1 else [line])]
+            if len(cells) != len(names):
+                raise FormatError(f"expected '{shape}'")
+            if keyed and cells[0] in keys:
+                raise FormatError(f"repeated key {cells[0]!r}")
+            keys.add(cells[0])
+            row = [tuple(filter(None, map(str.strip, cell.split(",")))) if name.endswith(",...") else cell
+                   for cell, name in zip(cells, names)]
             check(*row)
-        except (FormatError, ValidationError) as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
+        except CaptionKitError as exc:
+            raise _located(where, exc) from exc
         yield row
 
 
@@ -299,9 +305,7 @@ def read_json(path: str | Path) -> object:
 
 def _jsonl_values(path: Path) -> Iterator[tuple[str, object]]:
     """Yield (location, parsed value) for each non-blank line."""
-    for lineno, line in _lines(path):
-        where = f"{path}: line {lineno}"
-        yield where, _parse(line, where, one_line=True)
+    return ((where, _parse(line, where, one_line=True)) for where, line in _lines(path))
 
 
 def _require_str(obj: dict, key: str) -> str:
@@ -327,8 +331,8 @@ def _by_id(entries: Iterable, id_key: str, build: Callable[[dict, str], _T]) -> 
             item = build(obj, image_id)
             if image_id in items:
                 raise ValidationError(f"duplicate image_id {image_id!r}")
-        except (FormatError, ValidationError) as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
+        except CaptionKitError as exc:
+            raise _located(where, exc) from exc
         items[image_id] = item
     return items
 

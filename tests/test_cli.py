@@ -463,6 +463,29 @@ def test_score_confusion_repeated_attribute_one_row(tmp_path):
     assert rows == [["attribute\\true_scene", "beach"], ["white", "1"], ["waves", "1"]]
 
 
+# Runs score-confusion on argv[1:] in this interpreter; prints the exit code and
+# whether the run imported logging.
+CONFUSION_LOGGING = """
+import json, sys
+from captionkit.cli import run
+code = run(["score-confusion", *sys.argv[1:]])
+print(json.dumps([code, "logging" in sys.modules]))
+"""
+
+
+def test_score_confusion_prints_its_own_skip_warning(tmp_path):
+    preds = write_jsonl(tmp_path / "p.jsonl", [{"image_id": "n1", "caption": "two planes"}])
+    labels = write_jsonl(tmp_path / "l.jsonl", [
+        {"image_id": "n1", "scene": "airport"},
+        {"image_id": "n2", "scene": "beach"},
+    ])
+    # a fresh interpreter, where no logging handler adds or hides a line
+    proc = _python(["-c", CONFUSION_LOGGING, "--predictions", str(preds), "--labels", str(labels)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert proc.stderr == "warning: 1 labeled images have no prediction; skipped\n"
+
+
 def test_index_build_and_query(corpus_file, tmp_path, capsys):
     idx = tmp_path / "idx.json"
     assert run(["index", "build", "--captions", corpus_file, "--out", str(idx)]) == 0
@@ -611,6 +634,55 @@ def test_bleu_that_scores_nothing_names_the_predictions(tmp_path, corpus_file, c
     preds = write_jsonl(tmp_path / "preds.jsonl", [{"image_id": "ghost", "caption": "a plane"}])
     assert run(["bleu", "--predictions", str(preds), "--references", corpus_file]) == 2
     assert capsys.readouterr().err.startswith(f"error: {preds}: no prediction could be scored: ")
+
+
+# One faulty or empty file per input option: the option, the subcommand it is
+# given to (the other inputs are fixtures), and the file's bytes.
+INPUT_FILE_FAULTS = {
+    "captions": (["stats"], b"{broken\n"),
+    "compare": (["readability", "--captions", "{data}/captions_3x5.jsonl"], b""),
+    "references": (["bleu", "--predictions", "{data}/predictions_3.jsonl"], b"[1]\n"),
+    "predictions": (["bleu", "--references", "{data}/captions_3x5.jsonl"], b""),
+    "labels": (["score-confusion", "--predictions", "{data}/predictions_3.jsonl"], b'{"image_id": "n1"}\n'),
+    "scenes": (["score-confusion", "--predictions", "{data}/predictions_3.jsonl",
+                "--labels", "{data}/labels_8scenes.jsonl"], b"beach\n"),
+    "attributes": (["score-confusion", "--predictions", "{data}/predictions_3.jsonl",
+                    "--labels", "{data}/labels_8scenes.jsonl"], b"two words\n"),
+    "dictionary": (["augment", "correct", "--captions", "{data}/captions_3x5.jsonl"], b""),
+    "merge-rules": (["augment", "correct", "--captions", "{data}/captions_3x5.jsonl",
+                     "--dictionary", "{data}/dictionary.txt"], b"ab\tx\n"),
+    "overrides": (["augment", "correct", "--captions", "{data}/captions_3x5.jsonl",
+                   "--dictionary", "{data}/dictionary.txt"], b"a\tb\tc\n"),
+    "thesaurus": (["augment", "synonym", "--captions", "{data}/captions_3x5.jsonl", "--seed", "1"], b""),
+    "index": (["index", "query", "beach"], b"{}\n"),
+}
+
+
+@pytest.mark.parametrize("option", INPUT_FILE_FAULTS)
+def test_an_input_file_fault_names_that_file(option, data_dir, tmp_path, capsys):
+    argv, content = INPUT_FILE_FAULTS[option]
+    bad = tmp_path / f"bad-{option}"
+    bad.write_bytes(content)
+    assert run([*(arg.format(data=data_dir) for arg in argv), f"--{option}", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: "), captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["augment", "synonym", "--thesaurus", "{data}/thesaurus.tsv", "--seed", "1", "--replacements", "0"],
+    ["stats", "--top-k", "0"],
+    ["augment", "backtranslate", "--mock", "--workers", "0"],
+    ["augment", "backtranslate", "--mock", "--retries", "-1"],
+    ["augment", "backtranslate"],
+])
+def test_an_option_fault_names_no_input_file(argv, data_dir, capsys):
+    argv = [arg.format(data=data_dir) for arg in argv] + ["--captions", str(data_dir / "captions_3x5.jsonl")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(data_dir) not in err, err
 
 
 @pytest.mark.parametrize("argv", [

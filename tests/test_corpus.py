@@ -259,6 +259,17 @@ def test_record_invariants():
         ImageRecord("", ("text",))
 
 
+def test_record_and_corpus_hold_tuples_only():
+    # a str would be split into one caption per character, a list would leave the record unhashable
+    with pytest.raises(ValidationError, match="record 'a': texts must be a tuple, got str"):
+        ImageRecord("a", "ab")
+    with pytest.raises(ValidationError, match="record 'a': texts must be a tuple, got list"):
+        ImageRecord("a", ["a beach"])
+    with pytest.raises(ValidationError, match="corpus records must be a tuple, got list"):
+        Corpus([_record("i1", 1)])
+    assert hash(Corpus((_record("i1", 1),))) == hash(Corpus((_record("i1", 1),)))
+
+
 def test_ingest_labels(data_dir):
     labels = ingest_labels(data_dir / "labels_8scenes.jsonl")
     assert len(labels) == 8
