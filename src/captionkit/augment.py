@@ -16,7 +16,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import Corpus, ImageRecord, read_rows
+from .corpus import Corpus, ImageRecord, _measure, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
 from .tokens import _check_word, _words
 from .translate import TranslationChain, _PermanentFailure
@@ -27,11 +27,6 @@ MergePattern = tuple[tuple[str, str], str]
 MAX_CONCURRENCY = 64  # back_translate's worker threads at most
 
 
-def _check_replacements(replacements_per_caption: int) -> None:
-    if replacements_per_caption < 1:
-        raise ConfigurationError("replacements_per_caption must be >= 1")
-
-
 def _check_rule_words(*words: str) -> None:
     for word in words:
         _check_word(word, "rule word")
@@ -39,13 +34,15 @@ def _check_rule_words(*words: str) -> None:
 
 @dataclass(frozen=True)
 class CorrectionRules:
-    """Accepted-word dictionary, ordered bigram merge rules, manual overrides; each word one token."""
+    """Non-empty accepted-word dictionary, ordered bigram merge rules, manual overrides; each word one token."""
 
     dictionary: frozenset[str]
     merge_patterns: tuple[MergePattern, ...] = ()
     manual_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not self.dictionary:
+            raise ConfigurationError("correction rules have an empty dictionary")
         merge_words = (word for pair, merged in self.merge_patterns for word in (*pair, merged))
         overrides = self.manual_overrides
         _check_rule_words(*self.dictionary, *merge_words, *overrides, *overrides.values())
@@ -68,7 +65,7 @@ def _check_entry(word: str, synonyms: Sequence[str]) -> None:
 
 @dataclass(frozen=True)
 class Thesaurus:
-    """Word (one token) to ordered synonym list; no word may list itself.
+    """Word (one token) to ordered synonym list, at least one word; no word may list itself.
 
     A synonym must tokenize to exactly its whitespace-split words (``sea shore``,
     not ``Shore.``), so a variant re-tokenizes to what was written.
@@ -77,6 +74,8 @@ class Thesaurus:
     entries: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise ConfigurationError("thesaurus is empty")
         for word, synonyms in self.entries.items():
             _check_entry(word, synonyms)
 
@@ -112,7 +111,7 @@ def load_overrides(path: str | Path) -> dict[str, str]:
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
     """TSV ``word<TAB>syn1,syn2,...``; each word on one line."""
-    return Thesaurus(dict(read_rows(path, "word<TAB>syn1,syn2,...", _check_entry, keyed=True)))
+    return _measure(path, Thesaurus, dict(read_rows(path, "word<TAB>syn1,syn2,...", _check_entry, keyed=True)))
 
 
 def _deletes(word: str) -> set[str]:
@@ -225,8 +224,6 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     space-joined. A caption sharing no token with a merge rule's first word or
     a fixed token is passed through as that join, untouched by the rules.
     """
-    if not rules.dictionary:
-        raise ConfigurationError("correction rules have an empty dictionary")
     # kept space-joined: far smaller than the token tuples of an RSICD-size corpus
     joined = [" ".join(_words(text)) for text in corpus.texts()]
     corpus_freq = Counter(chain.from_iterable(map(str.split, joined)))
@@ -275,9 +272,8 @@ def synonym_expand(
     Originals are always retained; captions with no covered token gain no
     variant. Equal seeds give byte-identical output.
     """
-    if not len(thesaurus):
-        raise ConfigurationError("thesaurus is empty")
-    _check_replacements(replacements_per_caption)
+    if replacements_per_caption < 1:
+        raise ConfigurationError("replacements_per_caption must be >= 1")
     rng = random.Random(seed)
     entries = thesaurus.entries
     seen_norms: set[str] = set()

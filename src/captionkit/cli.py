@@ -14,12 +14,13 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import (
     CAPTION_FORMATS,
     Corpus,
     _located,
+    _measure,
     atomic_write,
     ingest_captions,
     ingest_labels,
@@ -43,8 +44,6 @@ CAPTIONS_SCHEMA = (
 LABELS_SCHEMA = 'labels jsonl: {"image_id": str, "scene": str, "objects": [str, ...]}'
 PREDICTIONS_SCHEMA = 'predictions jsonl: {"image_id": str, "caption": str}'
 
-_R = TypeVar("_R")
-
 
 def _emit(output: dict | Iterable[str], out: str | None) -> None:
     """Write a JSON report (a dict) or text chunks to stdout, or atomically to ``out``."""
@@ -56,14 +55,6 @@ def _emit(output: dict | Iterable[str], out: str | None) -> None:
 
 def _corpus(args: argparse.Namespace) -> Corpus:
     return ingest_captions(args.captions, args.format)
-
-
-def _measure(path: str, stage: Callable[..., _R], *args, **kwargs) -> _R:
-    """``stage(*args, **kwargs)``, whose every fault is one of the file at ``path`` and names it."""
-    try:
-        return stage(*args, **kwargs)
-    except CaptionKitError as exc:
-        raise _located(path, exc) from exc
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -147,10 +138,10 @@ def cmd_bleu(args: argparse.Namespace) -> int:
 def cmd_correct(args: argparse.Namespace) -> int:
     from . import augment as aug
     corpus = _corpus(args)
-    rules = aug.CorrectionRules(aug.load_dictionary(args.dictionary),
-                                aug.load_merge_rules(args.merge_rules) if args.merge_rules else (),
-                                aug.load_overrides(args.overrides) if args.overrides else {})
-    _emit(jsonl_lines(_measure(args.dictionary, aug.correct, corpus, rules, args.prune_duplicates)), args.out)
+    rules = _measure(args.dictionary, aug.CorrectionRules, aug.load_dictionary(args.dictionary),
+                     aug.load_merge_rules(args.merge_rules) if args.merge_rules else (),
+                     aug.load_overrides(args.overrides) if args.overrides else {})
+    _emit(jsonl_lines(aug.correct(corpus, rules, args.prune_duplicates)), args.out)
     return 0
 
 
@@ -158,9 +149,7 @@ def cmd_synonym(args: argparse.Namespace) -> int:
     from . import augment as aug
     corpus = _corpus(args)
     thesaurus = aug.load_thesaurus(args.thesaurus)
-    aug._check_replacements(args.replacements)  # outside _measure: an option's fault names no file
-    result = _measure(args.thesaurus, aug.synonym_expand, corpus, thesaurus, args.replacements, seed=args.seed)
-    _emit(jsonl_lines(result), args.out)
+    _emit(jsonl_lines(aug.synonym_expand(corpus, thesaurus, args.replacements, seed=args.seed)), args.out)
     return 0
 
 
@@ -335,7 +324,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (CaptionKitError, OSError, UnicodeEncodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        named = isinstance(exc, OSError) and exc.filename is not None
+        print(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}", file=sys.stderr)
         return 2
 
 

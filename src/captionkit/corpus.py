@@ -187,6 +187,14 @@ def _located(where: object, exc: CaptionKitError) -> CaptionKitError:
     return type(exc)(f"{where}: {exc}")
 
 
+def _measure(path: str | Path, build: Callable[..., _T], *args) -> _T:
+    """``build(*args)``, whose every fault is one of the file at ``path`` (its rows already judged) and names it."""
+    try:
+        return build(*args)
+    except CaptionKitError as exc:
+        raise _located(path, exc) from exc
+
+
 def _lines(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield (``path: line N``, line) for each non-blank line of a UTF-8 text file, checked in file order."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -239,14 +247,14 @@ def _standard_fd(st: os.stat_result) -> int | None:
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Write UTF-8 text (``newline=""``) to a sibling temp file, renamed onto ``path`` on success.
 
-    The temp file takes the mode of a file already at ``path``; if the block
-    raises, it is removed and ``path`` is left as it was. A symlink is written
-    through to its target; a symlink loop is an ``OSError`` naming ``path``. The
-    file that is this process's stdout or stderr, such as ``/dev/stdout``
-    redirected to a file, is written through that open stream, and a device or
-    pipe is written directly: neither is replaced.
+    The temp file takes the mode of a file already at ``path``; if the block raises, it is
+    removed and ``path`` is left as it was. A symlink is written through to its target; a
+    symlink loop is an ``OSError`` naming ``path``. The file that is this process's stdout or
+    stderr, such as ``/dev/stdout`` redirected to a file, is written through that open stream,
+    and a device or pipe is written directly: neither is replaced. An ``OSError`` about the
+    temp file, or about no file, is raised again naming ``path`` as given.
     """
-    path = Path(path)
+    given, path = os.fspath(path), Path(path)
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -259,15 +267,19 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     path = path.resolve()
     # a new name per call, so two writers of one path, or a file a killed writer left, are never shared
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    fh = None
     try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
         with fh:
             yield fh
         if st:
             os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        if fh is not None:  # a temp file this call made, never one it could not make
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename in (None, str(tmp)):
+            raise OSError(exc.errno, exc.strerror, given) from exc
         raise
 
 

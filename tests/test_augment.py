@@ -160,6 +160,15 @@ def test_empty_dictionary_rejected():
         correct(corpus, CorrectionRules(frozenset()))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CorrectionRules(frozenset()), "correction rules have an empty dictionary"),
+    (lambda: Thesaurus({}), "thesaurus is empty"),
+], ids=["dictionary", "thesaurus"])
+def test_empty_rule_set_refused_when_built(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        build()
+
+
 def test_rule_validation():
     with pytest.raises(ValidationError):
         CorrectionRules(BASIC_DICT, merge_patterns=((("c", "shape"), "two words"),))
@@ -566,6 +575,16 @@ def test_back_translate_retries_transient_failures():
     result = back_translate(corpus, chain, max_retries=2, backoff=0.0)
     assert result.caption_count() == 1  # identity after retry: no variant
     assert translator.calls >= 2
+
+
+def test_back_translate_backs_off_exponentially(monkeypatch):
+    slept = []
+    monkeypatch.setattr(augment.time, "sleep", slept.append)
+    corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
+    translator = _FlakyTranslator(failures=2)
+    back_translate(corpus, TranslationChain(("es",), translator), max_retries=2, backoff=0.25)
+    assert slept == [0.25, 0.5]  # backoff * 2**attempt after each failed attempt
+    assert translator.calls == 4  # two failures, then both legs
 
 
 def test_back_translate_partial_failure_keeps_going():

@@ -14,7 +14,7 @@ from captionkit.bleu import (
     sentence_bleu,
 )
 from captionkit.corpus import PredictionSet
-from captionkit.exceptions import DegenerateInputError
+from captionkit.exceptions import ConfigurationError, DegenerateInputError
 from captionkit.tokens import tokenize
 from conftest import corpus_from_documents
 from oracles import oracle_bleu, oracle_stats, oracle_stats_max
@@ -50,6 +50,11 @@ def test_too_short_for_order():
 def test_order_must_be_positive():
     with pytest.raises(ValueError):
         ngram_counts(["a"], 0)
+
+
+def test_modified_precision_order_must_be_positive():
+    with pytest.raises(ConfigurationError, match="^n-gram order must be >= 1, got 0$"):
+        modified_precision([["a", "b"]], [[["a", "b"]]], 0)
 
 
 def test_identity_precision():

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from captionkit import tokens, vocabstats
+from captionkit import augment, tokens, vocabstats
 from captionkit.cli import build_parser, run
+from captionkit.exceptions import ValidationError
 from conftest import write_jsonl
 
 
@@ -721,6 +722,30 @@ def test_a_bug_inside_a_stage_is_not_reported_as_bad_input(corpus_file, monkeypa
         run(["stats", "--captions", corpus_file])
 
 
+@pytest.mark.parametrize("strategy, stage, rules", [
+    ("correct", "correct", ["--dictionary", "{data}/dictionary.txt"]),
+    ("synonym", "synonym_expand", ["--thesaurus", "{data}/thesaurus.tsv", "--seed", "1"]),
+], ids=["correct", "synonym"])
+def test_a_fault_inside_a_strategy_names_no_rule_file(strategy, stage, rules, corpus_file, data_dir,
+                                                      monkeypatch, capsys):
+    def faulty(*args, **kwargs):
+        raise ValidationError("record x: boom")
+
+    monkeypatch.setattr(augment, stage, faulty)
+    argv = ["augment", strategy, "--captions", corpus_file, *(arg.format(data=data_dir) for arg in rules)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: record x: boom\n"
+
+
+def test_an_empty_thesaurus_is_reported_before_the_replacement_count(corpus_file, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    argv = ["augment", "synonym", "--captions", corpus_file, "--thesaurus", str(empty),
+            "--seed", "1", "--replacements", "0"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {empty}: thesaurus is empty\n"
+
+
 class _CountedPattern:
     """A compiled pattern that counts every use of it."""
 
@@ -903,6 +928,23 @@ def test_failed_write_keeps_earlier_output(tmp_path, command, out_flag):
     assert out.read_bytes() == earlier
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     assert sorted(p.name for p in out.parent.iterdir()) == ["result"]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the POSIX resource module")
+@pytest.mark.parametrize("argv, limit, expected", [
+    (["stats", "--captions", "nope.jsonl"], 1 << 30, "nope.jsonl: No such file or directory"),
+    (["stats", "--captions", "corpus.jsonl", "--out", "nodir/x.json"], 1 << 30,
+     "nodir/x.json: No such file or directory"),
+    (["stats", "--captions", "corpus.jsonl", "--freq-csv", "f.csv", "--out", "s.json"], 200,
+     "f.csv: File too large"),
+], ids=["missing-input", "missing-out-dir", "write-past-limit"])
+def test_a_file_system_fault_names_the_given_path(tmp_path, argv, limit, expected):
+    rows = [{"image_id": f"img{i}", "captions": [f"caption number {i} of a long river"]} for i in range(40)]
+    write_jsonl(tmp_path / "corpus.jsonl", rows)
+    proc = _python(["-c", LIMITED_CLI, str(limit), *argv], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {expected}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 def test_output_through_symlink_and_into_pipe(corpus_file, tmp_path):

@@ -10,6 +10,7 @@ from captionkit.corpus import (
     CaptionSource,
     Corpus,
     ImageRecord,
+    LabelRecord,
     Split,
     atomic_write,
     ingest_captions,
@@ -257,6 +258,13 @@ def test_record_invariants():
         ImageRecord("", ())
     with pytest.raises(ValidationError, match="record with empty image_id"):
         ImageRecord("", ("text",))
+
+
+def test_caption_and_label_invariants():
+    with pytest.raises(ValidationError, match="^caption with empty image_id$"):
+        Caption("", "x")
+    with pytest.raises(ValidationError, match="^label for 'x' has empty scene$"):
+        LabelRecord("x", "")
 
 
 def test_record_and_corpus_hold_tuples_only():

@@ -142,6 +142,14 @@ def test_load_rejects_postings_off_invariant(tmp_path, doc_count, ids):
         load_index(path)
 
 
+def test_load_rejects_a_non_string_posting(tmp_path):
+    path = tmp_path / "idx.json"
+    payload = {"version": INDEX_VERSION, "doc_count": 2, "postings": {"beach": ["a", 7]}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: postings for 'beach' are not a string list")):
+        load_index(path)
+
+
 def test_load_rejects_more_distinct_ids_than_documents(tmp_path):
     # each list fits doc_count, but together they name two documents in an index of one
     path = tmp_path / "idx.json"

@@ -6,7 +6,7 @@ import pytest
 
 from captionkit.exceptions import DegenerateInputError
 from captionkit.tokens import tokenize
-from captionkit.vocabstats import frequency_export, hapax_ratio, profile, top_k_coverage
+from captionkit.vocabstats import VocabularyProfile, frequency_export, hapax_ratio, profile, top_k_coverage
 from conftest import corpus_from_documents
 
 WORDS = ["airport", "beach", "bridge", "green", "trees", "river", "many", "a", "sea", "port"]
@@ -102,6 +102,12 @@ def test_coverage_monotone():
 def test_hapax_ratio():
     assert hapax_ratio(_profile_from_freq({"a": 2, "b": 1})) == 0.5
     assert hapax_ratio(_profile_from_freq({"a": 5})) == 0.0
+
+
+def test_hapax_ratio_needs_tokens():
+    empty = VocabularyProfile({}, 0, 0, 0, 1, 1, 0, 0)
+    with pytest.raises(DegenerateInputError, match="^profile has no tokens$"):
+        hapax_ratio(empty)
 
 
 def test_rank_ties_lexicographic():
