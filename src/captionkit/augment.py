@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 MergePattern = tuple[tuple[str, str], str]
 MAX_CONCURRENCY = 64  # back_translate's worker threads at most
+MAX_RETRIES = 10  # each retry doubles the backoff, so 10 retries sleep at most 1023 backoffs per request
 
 
 def _check_rule_words(*words: str) -> None:
@@ -309,11 +310,13 @@ def back_translate(
     A caption whose round-trip fails is logged and kept without a variant; if
     every caption fails the whole operation errors. Requests run on a pool of
     ``concurrency`` worker threads, never more than there are captions
-    (``ConfigurationError`` below one or above ``MAX_CONCURRENCY``, as for a negative
-    ``max_retries``); output order always follows input order.
+    (``ConfigurationError`` below one or above ``MAX_CONCURRENCY``, as for ``max_retries``
+    below 0 or above ``MAX_RETRIES``); output order always follows input order.
     """
     if max_retries < 0:
         raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
+    if max_retries > MAX_RETRIES:
+        raise ConfigurationError(f"max_retries must be <= {MAX_RETRIES}, got {max_retries}")
     if concurrency < 1:
         raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
     if concurrency > MAX_CONCURRENCY:

@@ -124,7 +124,7 @@ def cmd_bleu(args: argparse.Namespace) -> int:
     overall, per_image, missing = bleu_mod.score_predictions(predictions, references)
     reason = f"{len(missing)} ids missing from references, the rest without tokens"
     if not per_image:
-        raise DegenerateInputError(f"{args.predictions}: no prediction could be scored: {reason}")
+        raise _located(args.predictions, DegenerateInputError(f"no prediction could be scored: {reason}"))
     if len(per_image) < len(predictions):
         print(f"warning: {len(predictions) - len(per_image)} predictions skipped: {reason}", file=sys.stderr)
     report = overall.to_dict()

@@ -110,9 +110,6 @@ def scene_matrix(
     attribute; an attribute listed twice is counted once. Labeled images
     without a prediction are skipped and listed in ``missing_ids``; nothing is logged.
     """
-    for label in labels:
-        if label.scene not in scene_keywords:
-            raise ConfigurationError(f"image {label.image_id!r}: no keyword set configured for scene {label.scene!r}")
     scenes = tuple(scene_keywords)
     attributes = tuple(dict.fromkeys(attributes))
     matrix = {(true, col): 0 for true in scenes for col in scenes}
@@ -122,6 +119,8 @@ def scene_matrix(
     scene_lookup = _lookup(scene_keywords, fold_plural_s)
     attribute_lookup = _lookup({attr: (attr,) for attr in attributes}, fold_plural_s)
     for label in labels:
+        if label.scene not in totals:
+            raise ConfigurationError(f"image {label.image_id!r}: no keyword set configured for scene {label.scene!r}")
         caption = predictions.entries.get(label.image_id)
         if caption is None:
             missing.append(label.image_id)

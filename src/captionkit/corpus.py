@@ -247,12 +247,12 @@ def _standard_fd(st: os.stat_result) -> int | None:
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Write UTF-8 text (``newline=""``) to a sibling temp file, renamed onto ``path`` on success.
 
-    The temp file takes the mode of a file already at ``path``; if the block raises, it is
-    removed and ``path`` is left as it was. A symlink is written through to its target; a
-    symlink loop is an ``OSError`` naming ``path``. The file that is this process's stdout or
-    stderr, such as ``/dev/stdout`` redirected to a file, is written through that open stream,
-    and a device or pipe is written directly: neither is replaced. An ``OSError`` about the
-    temp file, or about no file, is raised again naming ``path`` as given.
+    The temp file takes the mode of a file already at ``path`` and is synced before the rename (its
+    directory is not); if the block raises, it is removed and ``path`` is left as it was. A symlink is
+    written through to its target; a symlink loop is an ``OSError`` naming ``path``. The file that is
+    this process's stdout or stderr, such as ``/dev/stdout`` redirected to a file, is written through
+    that open stream, and a device or pipe is written directly: neither is replaced nor synced. An
+    ``OSError`` about the temp file, or about no file, is raised again naming ``path`` as given.
     """
     given, path = os.fspath(path), Path(path)
     try:
@@ -272,6 +272,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         fh = open(tmp, "x", encoding="utf-8", newline="")
         with fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())  # the data is on disk before the new name can point at it
         if st:
             os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, path)
@@ -310,12 +312,13 @@ def _parse(text: str, where: str, one_line: bool = False) -> object:
 
 def read_json(path: str | Path) -> object:
     """Parse a whole JSON file, checked for bytes that are not UTF-8 before it is parsed."""
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
     _check_utf8(text, path, 1)
     return _parse(text, str(path))
 
 
-def _jsonl_values(path: Path) -> Iterator[tuple[str, object]]:
+def _jsonl_values(path: str | Path) -> Iterator[tuple[str, object]]:
     """Yield (location, parsed value) for each non-blank line."""
     return ((where, _parse(line, where, one_line=True)) for where, line in _lines(path))
 
@@ -390,7 +393,6 @@ def ingest_captions(
     caption must be non-empty. Unknown fields are ignored. The first faulty
     entry in file order raises, naming its ``line N`` or ``images[i]``.
     """
-    path = Path(path)
     if format not in CAPTION_FORMATS:
         raise FormatError(f"unknown captions format {format!r}; expected one of {CAPTION_FORMATS}")
     if format == "rsicd_json":
@@ -402,7 +404,7 @@ def ingest_captions(
     else:
         entries = _jsonl_values(path)
     records = _by_id(entries, _RECORD_FIELDS[format][0], partial(_record, format=format))
-    return Corpus(tuple(records.values()), provenance if provenance is not None else path.stem)
+    return Corpus(tuple(records.values()), provenance if provenance is not None else Path(path).stem)
 
 
 def jsonl_lines(corpus: Corpus) -> Iterator[str]:
@@ -435,7 +437,7 @@ def ingest_labels(path: str | Path) -> tuple[LabelRecord, ...]:
 
     The first faulty line in file order raises, naming its ``line N``.
     """
-    return tuple(_by_id(_jsonl_values(Path(path)), "image_id", _label).values())
+    return tuple(_by_id(_jsonl_values(path), "image_id", _label).values())
 
 
 def ingest_predictions(path: str | Path) -> PredictionSet:
@@ -444,7 +446,7 @@ def ingest_predictions(path: str | Path) -> PredictionSet:
     An empty file is valid. The first faulty line in file order raises, naming its ``line N``.
     """
     return PredictionSet(
-        _by_id(_jsonl_values(Path(path)), "image_id", lambda obj, _: _require_str(obj, "caption"))
+        _by_id(_jsonl_values(path), "image_id", lambda obj, _: _require_str(obj, "caption"))
     )
 
 

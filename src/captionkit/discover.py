@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import atomic_write, read_json
+from .corpus import _measure, atomic_write, read_json
 from .exceptions import FormatError, IndexVersionError, QueryError
 from .tokens import _check_word, _words
 
@@ -24,9 +24,9 @@ class InvertedIndex:
     """Token to sorted, duplicate-free id list; immutable once built.
 
     ``load_index`` enforces what ``build_index`` guarantees and ``query``
-    relies on: each key is one token as the tokenizer reads it, each posting
-    list is strictly ascending, and no more distinct ids appear across all
-    lists than ``doc_count``.
+    relies on, raising at the first fault in file order: each key is one
+    token as the tokenizer reads it, each posting list is strictly
+    ascending, and no more distinct ids than ``doc_count`` appear in all.
     """
 
     postings: Mapping[str, tuple[str, ...]]
@@ -75,28 +75,27 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    path = Path(path)
-    payload = read_json(path)
+    return _measure(path, _index, read_json(path))
+
+
+def _index(payload: object) -> InvertedIndex:  # every fault names no file: load_index locates it
     if not isinstance(payload, dict) or "version" not in payload:
-        raise FormatError(f"{path}: not an index file (missing 'version')")
+        raise FormatError("not an index file (missing 'version')")
     if type(payload["version"]) is not int or payload["version"] != INDEX_VERSION:
-        raise IndexVersionError(
-            f"{path}: index version {payload['version']!r} is not supported (expected {INDEX_VERSION})"
-        )
-    postings_raw = payload.get("postings")
+        raise IndexVersionError(f"index version {payload['version']!r} is not supported (expected {INDEX_VERSION})")
+    postings = payload.get("postings")
     doc_count = payload.get("doc_count")
-    if not isinstance(postings_raw, dict):
-        raise FormatError(f"{path}: malformed index payload")
+    if not isinstance(postings, dict):
+        raise FormatError("malformed index payload")
     if isinstance(doc_count, bool) or not isinstance(doc_count, int) or doc_count < 0:
-        raise FormatError(f"{path}: doc_count must be a non-negative integer, got {doc_count!r}")
-    postings = {}
-    for token, ids in sorted(postings_raw.items()):
+        raise FormatError(f"doc_count must be a non-negative integer, got {doc_count!r}")
+    for token, ids in postings.items():  # each list becomes its tuple in place: no key is added
         if not isinstance(ids, list) or any(not isinstance(i, str) for i in ids):
-            raise FormatError(f"{path}: postings for {token!r} are not a string list")
+            raise FormatError(f"postings for {token!r} are not a string list")
         if any(a >= b for a, b in zip(ids, ids[1:])) or len(ids) > doc_count:
-            raise FormatError(f"{path}: postings for {token!r} are not sorted, unique and <= doc_count")
-        _check_word(token, f"{path}: posting key", FormatError)
+            raise FormatError(f"postings for {token!r} are not sorted, unique and <= doc_count")
+        _check_word(token, "posting key", FormatError)
         postings[token] = tuple(ids)
     if len(set().union(*postings.values())) > doc_count:
-        raise FormatError(f"{path}: postings name more distinct ids than doc_count {doc_count}")
+        raise FormatError(f"postings name more distinct ids than doc_count {doc_count}")
     return InvertedIndex(postings=postings, doc_count=doc_count)

@@ -611,6 +611,16 @@ def test_back_translate_rejects_negative_retries():
     assert translator.calls == 0
 
 
+def test_back_translate_rejects_retries_above_the_limit():
+    # each retry doubles the backoff: 30 retries against a dead service would sleep for years
+    corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
+    translator = _FlakyTranslator(failures=0)
+    limit = augment.MAX_RETRIES
+    with pytest.raises(ConfigurationError, match=rf"^max_retries must be <= {limit}, got {limit + 1}$"):
+        back_translate(corpus, TranslationChain(("es",), translator), max_retries=limit + 1)
+    assert translator.calls == 0
+
+
 def test_back_translate_rejects_zero_concurrency():
     corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
     translator = _FlakyTranslator(failures=0)
@@ -712,3 +722,4 @@ def test_loaders(tmp_path):
     thesaurus_path.write_text("several\tsome, various\n", encoding="utf-8")
     thesaurus = load_thesaurus(thesaurus_path)
     assert thesaurus.entries == {"several": ("some", "various")}
+    assert len(thesaurus) == 1

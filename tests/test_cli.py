@@ -671,12 +671,36 @@ def test_an_input_file_fault_names_that_file(option, data_dir, tmp_path, capsys)
     assert captured.err.count("\n") == 1
 
 
+# One reader per case: the option, the subcommand it is given to, and the file's bytes (None: no file).
+GIVEN_PATH_FAULTS = {
+    "captions-jsonl": (["stats", "--captions"], b'{"image_id": "a", "captions": ["x"]}\n{broken\n'),
+    "captions-rsicd": (["stats", "--format", "rsicd_json", "--captions"], b'{"images": [{"filename": "a"}]}'),
+    "labels": (["score-confusion", "--predictions", "{data}/predictions_3.jsonl", "--labels"], b'{"image_id": 1}\n'),
+    "predictions": (["bleu", "--references", "{data}/captions_3x5.jsonl", "--predictions"], b"[1]\n"),
+    "index": (["index", "query", "beach", "--index"], b'{"version": 2, "doc_count": 0, "postings": {}}\n'),
+    "captions-missing": (["stats", "--captions"], None),
+}
+
+
+@pytest.mark.parametrize("case", GIVEN_PATH_FAULTS)
+def test_each_reader_names_its_file_as_given(case, data_dir, tmp_path, capsys):
+    argv, content = GIVEN_PATH_FAULTS[case]
+    given = f"{tmp_path}//{case}"  # a spelling pathlib would rewrite
+    if content is not None:
+        Path(given).write_bytes(content)
+    assert run([*(arg.format(data=data_dir) for arg in argv), given]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {given}: "), err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["augment", "synonym", "--thesaurus", "{data}/thesaurus.tsv", "--seed", "1", "--replacements", "0"],
     ["stats", "--top-k", "0"],
     ["augment", "backtranslate", "--mock", "--workers", "0"],
     ["augment", "backtranslate", "--mock", "--retries", "-1"],
     ["augment", "backtranslate"],
+    ["augment", "backtranslate", "--mock", "--retries", "11"],
 ])
 def test_an_option_fault_names_no_input_file(argv, data_dir, capsys):
     argv = [arg.format(data=data_dir) for arg in argv] + ["--captions", str(data_dir / "captions_3x5.jsonl")]

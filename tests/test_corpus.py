@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import threading
 
@@ -382,6 +383,30 @@ def test_concurrent_writers_of_one_path_use_their_own_temp_files(tmp_path):
     whole = {"".join(f"{tag} {i}\n" for i in range(2000)) for tag in "ab"}
     assert target.read_text(encoding="utf-8") in whole
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_the_temp_file_is_synced_before_it_is_renamed(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd)))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    target = tmp_path / "out.txt"
+    with atomic_write(target) as fh:
+        fh.write("a beach\n")
+    assert [kind for kind, _ in events] == ["fsync", "replace"]
+    (_, synced), (_, renamed) = events
+    assert os.path.samestat(synced, renamed)
+    assert synced.st_size == len("a beach\n")  # flushed before the sync
+    assert target.read_text(encoding="utf-8") == "a beach\n"
 
 
 def test_corpus_from_documents_lowercases_ids():

@@ -159,6 +159,14 @@ def test_load_rejects_more_distinct_ids_than_documents(tmp_path):
         load_index(path)
 
 
+def test_load_reports_the_first_faulty_posting_in_file_order(tmp_path):
+    path = tmp_path / "idx.json"
+    payload = {"version": INDEX_VERSION, "doc_count": 1, "postings": {"zeta": "x", "alpha": 5}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: postings for 'zeta' are not a string list")):
+        load_index(path)
+
+
 @pytest.mark.parametrize("doc_count, postings", [(True, {"ok": ["a"]}), (-1, {})])
 def test_load_rejects_bad_doc_count(tmp_path, doc_count, postings):
     path = tmp_path / "idx.json"
