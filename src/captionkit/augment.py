@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, ImageRecord, _measure, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
-from .tokens import _check_word, _words
+from .tokens import _check_word, _check_words, _rewrite, _words
 from .translate import TranslationChain, _PermanentFailure
 
 logger = logging.getLogger(__name__)
@@ -26,6 +26,7 @@ logger = logging.getLogger(__name__)
 MergePattern = tuple[tuple[str, str], str]
 MAX_CONCURRENCY = 64  # back_translate's worker threads at most
 MAX_RETRIES = 10  # each retry doubles the backoff, so 10 retries sleep at most 1023 backoffs per request
+FAILED_RUN_LIMIT = 32  # back_translate stops when its first this many captions (or all, if fewer) fail
 
 
 def _check_rule_words(*words: str) -> None:
@@ -44,15 +45,18 @@ class CorrectionRules:
     def __post_init__(self) -> None:
         if not self.dictionary:
             raise ConfigurationError("correction rules have an empty dictionary")
-        merge_words = (word for pair, merged in self.merge_patterns for word in (*pair, merged))
-        overrides = self.manual_overrides
-        _check_rule_words(*self.dictionary, *merge_words, *overrides, *overrides.values())
+        _check_words(self.dictionary, "rule word")
+        for pair, merged in self.merge_patterns:
+            _check_merge_rule(pair, merged)
+        _check_rule_words(*self.manual_overrides, *self.manual_overrides.values())
 
 
 def _check_entry(word: str, synonyms: Sequence[str]) -> None:
     """Raise ``ValidationError`` unless ``word`` is one token with synonyms, none of them itself,
     each tokenizing to exactly its whitespace-split words."""
     _check_word(word, "thesaurus word")
+    if isinstance(synonyms, str):
+        raise ValidationError(f"thesaurus entry {word!r}: expected a sequence of synonyms, got the string {synonyms!r}")
     if not synonyms:
         raise ValidationError(f"thesaurus entry {word!r} has no synonyms")
     if word in synonyms:
@@ -93,15 +97,16 @@ def load_dictionary(path: str | Path) -> frozenset[str]:
     return frozenset(word for (word,) in read_rows(path, "word", _check_rule_words))
 
 
-def _check_merge_rule(bigram: str, merged: str) -> None:
-    if len(bigram.split()) != 2:
-        raise FormatError("bigram must be exactly two words")
-    _check_rule_words(*bigram.split(), merged)
+def _check_merge_rule(pair: tuple[str, ...], merged: str, error: type[Exception] = ValidationError) -> None:
+    if not isinstance(pair, tuple) or len(pair) != 2:
+        raise error(f"bigram must be exactly two words, got {pair!r}")
+    _check_rule_words(*pair, merged)
 
 
 def load_merge_rules(path: str | Path) -> tuple[MergePattern, ...]:
     """TSV ``bigram<TAB>replacement``, e.g. ``c shape<TAB>c-shaped``; file order kept."""
-    rows = read_rows(path, "bigram<TAB>replacement", _check_merge_rule)
+    rows = read_rows(path, "bigram<TAB>replacement",
+                     lambda bigram, merged: _check_merge_rule(tuple(bigram.split()), merged, FormatError))
     return tuple((tuple(bigram.split()), merged) for bigram, merged in rows)
 
 
@@ -177,20 +182,6 @@ def _nearest_known_all(queries: Sequence[str], known: frozenset[str]) -> dict[st
     return nearest
 
 
-def _apply_merges(tokens: tuple[str, ...], merges: Mapping[tuple[str, str], str]) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        merged = merges.get(tokens[i : i + 2])
-        if merged is None:
-            out.append(tokens[i])
-            i += 1
-        else:
-            out.append(merged)
-            i += 2
-    return out
-
-
 def _rebuild(corpus: Corpus, suffix: str, new_texts: Iterator[str | None], append: bool) -> Corpus:
     """``corpus`` with ``new_texts``, one per text in corpus order, in place of its texts or, with
     ``append``, after each record's texts; a None is left out, and a record left with no text is dropped."""
@@ -221,34 +212,39 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     occurrence of each normalized caption corpus-wide and never prunes a
     caption without tokens; a record whose captions are all pruned is dropped.
 
-    Each caption is tokenized once; the frequency pass keeps its tokens
-    space-joined. A caption sharing no token with a merge rule's first word or
-    a fixed token is passed through as that join, untouched by the rules.
+    The rules form one phrase table, applied to each caption in one
+    left-to-right pass, bigram keys before single tokens: a merge rule's bigram
+    becomes its merged token, already overridden if an override names it, and
+    any other token with an override or spell-fix becomes its fix. Each caption
+    is tokenized once; the frequency pass keeps its tokens space-joined. A
+    caption sharing no token with a key's first word is passed through as that
+    join, untouched by the rules.
     """
     # kept space-joined: far smaller than the token tuples of an RSICD-size corpus
     joined = [" ".join(_words(text)) for text in corpus.texts()]
     corpus_freq = Counter(chain.from_iterable(map(str.split, joined)))
-    merges = dict(reversed(rules.merge_patterns))  # the first rule listed for a bigram wins
     merged_tokens = (merged for _, merged in rules.merge_patterns)
     known = rules.dictionary.union(merged_tokens, rules.manual_overrides.values())
-    fixes = dict(rules.manual_overrides)
-    # a token reaching the fix step is a corpus type or a (known) merged token
+    # one table: a width-1 key per override and spell-fix, a width-2 key per merge rule
+    table = {(tok,): (fix,) for tok, fix in rules.manual_overrides.items()}
+    # only corpus types are searched: a merged token is known, so only an override fixes it
     queries = [tok for tok in corpus_freq
-               if not (tok in known or tok in fixes or len(tok) <= 2 or tok.isdigit())]
+               if not (tok in known or (tok,) in table or len(tok) <= 2 or tok.isdigit())]
     for token, candidates in _nearest_known_all(queries, known).items():
         if candidates:
-            fixes[token] = min(candidates, key=lambda w: (-corpus_freq[w], w))
+            table[(token,)] = (min(candidates, key=lambda w: (-corpus_freq[w], w)),)
         else:
             logger.info("no correction within edit distance 2 for %r", token)
-
-    touched = {first for first, _ in merges}.union(fixes)  # no other token meets a rule
+    for pair, merged in reversed(rules.merge_patterns):  # the first rule listed for a bigram wins
+        table[pair] = table.get((merged,), (merged,))  # a merged token is written already fixed
+    touched = {key[0] for key in table}  # no other token meets a rule
 
     seen_norms: set[str] = set()
 
     def corrected(text: str, norm: str) -> str | None:
         toks = norm.split()  # the caption's tokens again: a token holds no whitespace
         if not touched.isdisjoint(toks):
-            norm = " ".join([fixes.get(tok, tok) for tok in _apply_merges(tuple(toks), merges)])
+            norm = " ".join(_rewrite(toks, toks, table, (2, 1)))
         if prune_duplicates and norm:  # a caption without tokens has no form to duplicate
             if norm in seen_norms:
                 return None
@@ -307,11 +303,14 @@ def back_translate(
     """Round-trip every caption through the pivot chain and append changed results.
 
     Only transient translation failures are retried, with exponential backoff.
-    A caption whose round-trip fails is logged and kept without a variant; if
-    every caption fails the whole operation errors. Requests run on a pool of
-    ``concurrency`` worker threads, never more than there are captions
-    (``ConfigurationError`` below one or above ``MAX_CONCURRENCY``, as for ``max_retries``
-    below 0 or above ``MAX_RETRIES``); output order always follows input order.
+    A caption whose round-trip fails is logged and kept without a variant. The
+    first ``min(FAILED_RUN_LIMIT, n)`` of the ``n`` captions (32 at most) run
+    before the rest is queued; if every one of them fails, the run raises
+    ``TranslationError`` without sending the rest, so a service that is down
+    costs only their retry budget. Requests run on a pool of ``concurrency``
+    worker threads, never more than there are captions (``ConfigurationError``
+    below one or above ``MAX_CONCURRENCY``, as for ``max_retries`` below 0 or
+    above ``MAX_RETRIES``); output order always follows input order.
     """
     if max_retries < 0:
         raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
@@ -322,6 +321,7 @@ def back_translate(
     if concurrency > MAX_CONCURRENCY:
         raise ConfigurationError(f"concurrency must be <= {MAX_CONCURRENCY}, got {concurrency}")
     image_ids = [record.image_id for record in corpus.records for _ in record.texts]
+    texts = list(corpus.texts())
 
     def roundtrip(image_id: str, text: str) -> str | None:
         for src, dst in chain.legs():
@@ -337,13 +337,16 @@ def back_translate(
                         time.sleep(backoff * (2**attempt))
         return text
 
+    head = min(FAILED_RUN_LIMIT, len(texts))  # judged in input order, whatever the thread schedule
     from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that back-translates
-    with ThreadPoolExecutor(max_workers=max(1, min(concurrency, len(image_ids)))) as pool:
-        results = list(pool.map(roundtrip, image_ids, corpus.texts()))
-
-    if results and all(result is None for result in results):
-        raise TranslationError("back-translation failed for every caption")
+    with ThreadPoolExecutor(max_workers=max(1, min(concurrency, len(texts)))) as pool:
+        results = list(pool.map(roundtrip, image_ids[:head], texts[:head]))
+        if head and all(result is None for result in results):
+            if head == len(texts):
+                raise TranslationError("back-translation failed for every caption")
+            raise TranslationError(f"back-translation failed for each of the first {head} captions; run stopped")
+        results += pool.map(roundtrip, image_ids[head:], texts[head:])
 
     variants = (result if result and result.strip() and result != text else None
-                for text, result in zip(corpus.texts(), results))
+                for text, result in zip(texts, results))
     return _rebuild(corpus, "backtranslated", variants, append=True)

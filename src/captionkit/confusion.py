@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .corpus import LabelRecord, PredictionSet, read_rows, write_csv
 from .exceptions import ConfigurationError, FormatError
-from .tokens import _check_word, _words
+from .tokens import _check_word, _check_words, _words
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def _lookup(triggers: Mapping, fold_plural_s: bool) -> dict[str, set]:
     # mention -> keys whose trigger it fires; with folding a plural trigger also fires on its singular
     lookup: dict[str, set] = {}
     for key, words in triggers.items():
+        _check_words(words, "scene trigger or attribute", ConfigurationError)
         for word in words:
-            _check_word(word, "scene trigger or attribute", ConfigurationError)
             lookup.setdefault(word, set()).add(key)
             if fold_plural_s and len(word) > 1 and word.endswith("s"):
                 lookup.setdefault(word[:-1], set()).add(key)
@@ -111,13 +111,14 @@ def scene_matrix(
     without a prediction are skipped and listed in ``missing_ids``; nothing is logged.
     """
     scenes = tuple(scene_keywords)
+    scene_lookup = _lookup(scene_keywords, fold_plural_s)
+    _check_words(attributes, "scene trigger or attribute", ConfigurationError)
     attributes = tuple(dict.fromkeys(attributes))
+    attribute_lookup = _lookup({attr: (attr,) for attr in attributes}, fold_plural_s)
     matrix = {(true, col): 0 for true in scenes for col in scenes}
     attribute_counts = {(attr, scene): 0 for attr in attributes for scene in scenes}
     totals = {scene: 0 for scene in scenes}
     missing = []
-    scene_lookup = _lookup(scene_keywords, fold_plural_s)
-    attribute_lookup = _lookup({attr: (attr,) for attr in attributes}, fold_plural_s)
     for label in labels:
         if label.scene not in totals:
             raise ConfigurationError(f"image {label.image_id!r}: no keyword set configured for scene {label.scene!r}")

@@ -22,7 +22,8 @@ no strip set has to list the non-ASCII characters.
 The grammar has two entry points: ``tokenize`` adds the count of letters and
 digits, and the stages, which read only tokens, call ``_words``. ``_check_word``
 is the one test of a word from a rule, keyword or index file: it must be a
-token the grammar can produce.
+token the grammar can produce. ``_rewrite`` is the one phrase-table rewriter,
+shared by correction and the offline translator.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 from .exceptions import ValidationError
 
@@ -59,9 +61,36 @@ def _words(text: str) -> tuple[str, ...]:
 
 
 def _check_word(word: str, what: str, error: type[Exception] = ValidationError) -> None:
-    """Raise ``error`` unless the grammar reads ``word`` as exactly itself, one token."""
-    if _words(word) != (word,):
+    """Raise ``error`` unless ``word`` is a string the grammar reads as exactly itself, one token."""
+    if not isinstance(word, str) or _words(word) != (word,):
         raise error(f"{what} must be one lower-case token as the tokenizer reads it, got {word!r}")
+
+
+def _check_words(words: Iterable[str], what: str, error: type[Exception] = ValidationError) -> None:
+    """``_check_word`` on each of ``words``; a string is refused whole, as each of its letters would pass."""
+    if isinstance(words, str):
+        raise error(f"{what}: expected a collection of words, got the string {words!r}")
+    for word in words:
+        _check_word(word, what, error)
+
+
+def _rewrite(keys: Sequence[str], words: Sequence[str], table: Mapping, widths: Sequence[int]) -> list[str]:
+    """``words`` rewritten left to right by ``table``, each run matched as its run of ``keys``, widest
+    of ``widths`` first: a hit emits the table's value and skips the run, a miss keeps the word."""
+    keys = tuple(keys)
+    out: list[str] = []
+    i = 0
+    while i < len(keys):
+        for width in widths:
+            value = table.get(keys[i : i + width])
+            if value is not None:
+                out.extend(value)
+                i += width
+                break
+        else:
+            out.append(words[i])
+            i += 1
+    return out
 
 
 def tokenize(text: str) -> TokenizedSentence:

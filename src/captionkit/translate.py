@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 from .exceptions import TranslationError, ValidationError
+from .tokens import _rewrite
 
 if TYPE_CHECKING:  # HttpTranslator imports it at run time
     import requests
@@ -74,8 +75,8 @@ class MockTranslator:
         self._rules = {tuple(pat): tuple(rep) for pat, rep in source.items()}
         if any(not pat or any(word.split() != [word.lower()] for word in pat) for pat in self._rules):
             raise ValidationError("mock translator patterns must be non-empty, lower-case words without whitespace")
-        # longest pattern first so "next to" wins over any single-word rule
-        self._patterns = sorted(self._rules, key=lambda pat: (-len(pat), pat))
+        # widest pattern first so "next to" wins over any single-word rule
+        self._widths = sorted({len(pat) for pat in self._rules}, reverse=True)
 
     @classmethod
     def identity(cls) -> "MockTranslator":
@@ -83,19 +84,7 @@ class MockTranslator:
 
     def translate(self, text: str, src: str, dst: str) -> str:
         words = text.split()
-        out: list[str] = []
-        i = 0
-        while i < len(words):
-            for pattern in self._patterns:
-                window = tuple(w.lower() for w in words[i : i + len(pattern)])
-                if window == pattern:
-                    out.extend(self._rules[pattern])
-                    i += len(pattern)
-                    break
-            else:
-                out.append(words[i])
-                i += 1
-        return " ".join(out)
+        return " ".join(_rewrite([w.lower() for w in words], words, self._rules, self._widths))
 
 
 class HttpTranslator:

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -600,6 +601,53 @@ def test_back_translate_total_failure_raises():
     chain = TranslationChain(("es",), _BrokenTranslator())
     with pytest.raises(TranslationError):
         back_translate(corpus, chain, max_retries=0, backoff=0.0)
+
+
+class _CountingDownTranslator:
+    """A service that is down: every request fails as a transient fault; thread-safe count."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def translate(self, text, src, dst):
+        with self._lock:
+            self.calls += 1
+        raise TranslationError("service unavailable")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_back_translate_stops_after_the_first_captions_fail(monkeypatch, workers):
+    # 100 captions, 3 hops, 11 attempts each: only the first 32 captions spend their budget
+    monkeypatch.setattr(augment.time, "sleep", lambda seconds: None)
+    corpus = corpus_from_documents({f"i{n}": [f"a beach number {n}"] for n in range(100)}, "t")
+    translator = _CountingDownTranslator()
+    chain = TranslationChain(("es", "de", "fr"), translator)
+    limit = augment.FAILED_RUN_LIMIT
+    with pytest.raises(TranslationError, match=rf"^back-translation failed for each of the first {limit} captions"):
+        back_translate(corpus, chain, concurrency=workers, max_retries=10)
+    assert translator.calls == limit * 11 == 352
+
+
+def test_back_translate_fewer_captions_than_the_limit_all_failing():
+    corpus = corpus_from_documents({"i1": ["a beach", "the sea"]}, "t")
+    translator = _CountingDownTranslator()
+    with pytest.raises(TranslationError, match="^back-translation failed for every caption$"):
+        back_translate(corpus, TranslationChain(("es",), translator), max_retries=1, backoff=0.0)
+    assert translator.calls == 4
+
+
+def test_back_translate_judges_only_the_first_captions():
+    # a run whose first captions all fail stops, even though later ones would succeed
+    limit = augment.FAILED_RUN_LIMIT
+    corpus = corpus_from_documents({f"i{n}": [f"a beach number {n}"] for n in range(limit + 3)}, "t")
+    with pytest.raises(TranslationError, match="run stopped"):
+        back_translate(corpus, TranslationChain(("es",), _FlakyTranslator(failures=limit)), max_retries=0)
+    # one success among the first captions lets the run go on to the rest
+    flaky = _FlakyTranslator(failures=limit - 1)
+    result = back_translate(corpus, TranslationChain(("es",), flaky), max_retries=0)
+    assert result.caption_count() == limit + 3  # identity translator: no variants
+    assert flaky.calls == (limit - 1) + 2 * 4  # the last four captions each take both legs
 
 
 def test_back_translate_rejects_negative_retries():

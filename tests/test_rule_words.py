@@ -48,6 +48,33 @@ def test_rule_container_rejects_non_token(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CorrectionRules("beach"),
+    lambda: CorrectionRules(frozenset({"beach"}), manual_overrides={"sea": ("ocean",)}),
+    lambda: CorrectionRules(frozenset({"beach"}), ((("beach",), "x"),)),
+    lambda: CorrectionRules(frozenset({"beach"}), ((("a", "beach", "near"), "x"),)),
+    lambda: CorrectionRules(frozenset({"beach"}), (("ab", "x"),)),
+    lambda: CorrectionRules(frozenset({"beach"}), ((["c", "shape"], "c-shaped"),)),
+    lambda: Thesaurus({"beach": "shore"}),
+], ids=["dictionary-string", "override-value-tuple", "merge-one-word", "merge-three-words", "merge-string",
+        "merge-list", "thesaurus-synonyms-string"])
+def test_rule_container_refuses_a_shape_it_cannot_apply(build):
+    # each built at one time, then misapplied: a string read letter by letter, or a crash inside correct
+    with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize("keywords, attributes", [
+    ({"beach": "beach"}, ()),
+    ({"beach": frozenset({"beach"})}, "white"),
+], ids=["triggers-string", "attributes-string"])
+def test_scene_matrix_refuses_a_string_of_words(keywords, attributes):
+    # read letter by letter, "a" of "beach" would fire on "a plane on a runway"
+    predictions = PredictionSet({"x": "a plane on a runway"})
+    with pytest.raises(ConfigurationError, match="expected a collection of words, got the string"):
+        scene_matrix(predictions, LABELS, keywords, attributes=attributes)
+
+
 @pytest.mark.parametrize("keywords, attributes", [
     ({"beach": frozenset({"beach"}), "parking": frozenset({"parking lot"})}, ()),
     ({"beach": frozenset({"beach"})}, ("trees.",)),
