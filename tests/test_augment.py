@@ -599,7 +599,7 @@ def test_back_translate_partial_failure_keeps_going():
 def test_back_translate_total_failure_raises():
     corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
     chain = TranslationChain(("es",), _BrokenTranslator())
-    with pytest.raises(TranslationError):
+    with pytest.raises(TranslationError, match="^back-translation failed for every caption$"):
         back_translate(corpus, chain, max_retries=0, backoff=0.0)
 
 
@@ -618,7 +618,7 @@ class _CountingDownTranslator:
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_back_translate_stops_after_the_first_captions_fail(monkeypatch, workers):
-    # 100 captions, 3 hops, 11 attempts each: only the first 32 captions spend their budget
+    # 100 captions; each spends 11 attempts on its failing first leg, but only the first 32 run
     monkeypatch.setattr(augment.time, "sleep", lambda seconds: None)
     corpus = corpus_from_documents({f"i{n}": [f"a beach number {n}"] for n in range(100)}, "t")
     translator = _CountingDownTranslator()
@@ -627,14 +627,6 @@ def test_back_translate_stops_after_the_first_captions_fail(monkeypatch, workers
     with pytest.raises(TranslationError, match=rf"^back-translation failed for each of the first {limit} captions"):
         back_translate(corpus, chain, concurrency=workers, max_retries=10)
     assert translator.calls == limit * 11 == 352
-
-
-def test_back_translate_fewer_captions_than_the_limit_all_failing():
-    corpus = corpus_from_documents({"i1": ["a beach", "the sea"]}, "t")
-    translator = _CountingDownTranslator()
-    with pytest.raises(TranslationError, match="^back-translation failed for every caption$"):
-        back_translate(corpus, TranslationChain(("es",), translator), max_retries=1, backoff=0.0)
-    assert translator.calls == 4
 
 
 def test_back_translate_judges_only_the_first_captions():

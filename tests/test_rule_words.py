@@ -59,7 +59,7 @@ def test_rule_container_rejects_non_token(build):
 ], ids=["dictionary-string", "override-value-tuple", "merge-one-word", "merge-three-words", "merge-string",
         "merge-list", "thesaurus-synonyms-string"])
 def test_rule_container_refuses_a_shape_it_cannot_apply(build):
-    # each built at one time, then misapplied: a string read letter by letter, or a crash inside correct
+    # a string would be read letter by letter; a bigram of another width cannot key correct's rewrite table
     with pytest.raises(ValidationError):
         build()
 
