@@ -11,14 +11,14 @@ import logging
 import random
 import time
 from collections import Counter
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, ImageRecord, _measure, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
-from .tokens import _check_word, _check_words, _rewrite, _words
+from .tokens import _check_container, _check_word, _check_words, _first, _rewrite, _words
 from .translate import TranslationChain, _PermanentFailure
 
 logger = logging.getLogger(__name__)
@@ -27,11 +27,6 @@ MergePattern = tuple[tuple[str, str], str]
 MAX_CONCURRENCY = 64  # back_translate's worker threads at most
 MAX_RETRIES = 10  # each retry doubles the backoff, so 10 retries sleep at most 1023 backoffs per request
 FAILED_RUN_LIMIT = 32  # back_translate stops when its first this many captions (or all, if fewer) fail
-
-
-def _check_rule_words(*words: str) -> None:
-    for word in words:
-        _check_word(word, "rule word")
 
 
 @dataclass(frozen=True)
@@ -43,29 +38,28 @@ class CorrectionRules:
     manual_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_words(self.dictionary, "rule word")
         if not self.dictionary:
             raise ConfigurationError("correction rules have an empty dictionary")
-        _check_words(self.dictionary, "rule word")
-        for pair, merged in self.merge_patterns:
-            _check_merge_rule(pair, merged)
-        _check_rule_words(*self.manual_overrides, *self.manual_overrides.values())
+        _check_container(self.merge_patterns, Sequence, "merge patterns: expected a sequence of rules")
+        for rule in self.merge_patterns:
+            _check_merge_rule(rule)
+        _check_container(self.manual_overrides, Mapping, "manual overrides: expected a mapping")
+        _check_words([*self.manual_overrides, *self.manual_overrides.values()], "rule word")
 
 
 def _check_entry(word: str, synonyms: Sequence[str]) -> None:
     """Raise ``ValidationError`` unless ``word`` is one token with synonyms, none of them itself,
     each tokenizing to exactly its whitespace-split words."""
     _check_word(word, "thesaurus word")
-    if isinstance(synonyms, str):
-        raise ValidationError(f"thesaurus entry {word!r}: expected a sequence of synonyms, got the string {synonyms!r}")
+    _check_container(synonyms, Sequence, f"thesaurus entry {word!r}: expected a sequence of synonyms")
     if not synonyms:
         raise ValidationError(f"thesaurus entry {word!r} has no synonyms")
     if word in synonyms:
         raise ValidationError(f"thesaurus entry {word!r} lists itself as a synonym")
     for synonym in synonyms:
-        if not synonym.split() or _words(synonym) != tuple(synonym.split()):
-            raise ValidationError(
-                f"thesaurus entry {word!r}: synonym {synonym!r} does not tokenize to its own words"
-            )
+        if not isinstance(synonym, str) or not synonym.split() or _words(synonym) != tuple(synonym.split()):
+            raise ValidationError(f"thesaurus entry {word!r}: synonym {synonym!r} does not tokenize to its own words")
 
 
 @dataclass(frozen=True)
@@ -79,6 +73,7 @@ class Thesaurus:
     entries: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
+        _check_container(self.entries, Mapping, "thesaurus: expected a mapping")
         if not self.entries:
             raise ConfigurationError("thesaurus is empty")
         for word, synonyms in self.entries.items():
@@ -94,25 +89,27 @@ class Thesaurus:
 # Each loader judges every line as it reads it, so a fault names its file and line.
 def load_dictionary(path: str | Path) -> frozenset[str]:
     """One lower-case word per line; blank lines skipped."""
-    return frozenset(word for (word,) in read_rows(path, "word", _check_rule_words))
+    return frozenset(word for (word,) in read_rows(path, "word", lambda word: _check_word(word, "rule word")))
 
 
-def _check_merge_rule(pair: tuple[str, ...], merged: str, error: type[Exception] = ValidationError) -> None:
-    if not isinstance(pair, tuple) or len(pair) != 2:
-        raise error(f"bigram must be exactly two words, got {pair!r}")
-    _check_rule_words(*pair, merged)
+def _check_merge_rule(rule: object, error: type[Exception] = ValidationError) -> None:
+    """Raise ``error`` unless ``rule`` has the shape ``((word, word), merged)``, then ``ValidationError``
+    unless each word is one token."""
+    if not (isinstance(rule, tuple) and len(rule) == 2 and isinstance(rule[0], tuple) and len(rule[0]) == 2):
+        raise error(f"merge rule must be a bigram of exactly two words and its merged word, got {rule!r}")
+    _check_words((*rule[0], rule[1]), "rule word")
 
 
 def load_merge_rules(path: str | Path) -> tuple[MergePattern, ...]:
     """TSV ``bigram<TAB>replacement``, e.g. ``c shape<TAB>c-shaped``; file order kept."""
     rows = read_rows(path, "bigram<TAB>replacement",
-                     lambda bigram, merged: _check_merge_rule(tuple(bigram.split()), merged, FormatError))
+                     lambda bigram, merged: _check_merge_rule((tuple(bigram.split()), merged), FormatError))
     return tuple((tuple(bigram.split()), merged) for bigram, merged in rows)
 
 
 def load_overrides(path: str | Path) -> dict[str, str]:
     """TSV ``misspelled<TAB>replacement``; each misspelling on one line."""
-    return dict(read_rows(path, "word<TAB>replacement", _check_rule_words, keyed=True))
+    return dict(read_rows(path, "word<TAB>replacement", lambda *words: _check_words(words, "rule word"), keyed=True))
 
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
@@ -224,7 +221,7 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     joined = [" ".join(_words(text)) for text in corpus.texts()]
     corpus_freq = Counter(chain.from_iterable(map(str.split, joined)))
     merged_tokens = (merged for _, merged in rules.merge_patterns)
-    known = rules.dictionary.union(merged_tokens, rules.manual_overrides.values())
+    known = frozenset().union(rules.dictionary, merged_tokens, rules.manual_overrides.values())
     # one table: a width-1 key per override and spell-fix, a width-2 key per merge rule
     table = {(tok,): (fix,) for tok, fix in rules.manual_overrides.items()}
     # only corpus types are searched: a merged token is known, so only an override fixes it
@@ -245,10 +242,8 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
         toks = norm.split()  # the caption's tokens again: a token holds no whitespace
         if not touched.isdisjoint(toks):
             norm = " ".join(_rewrite(toks, toks, table, (2, 1)))
-        if prune_duplicates and norm:  # a caption without tokens has no form to duplicate
-            if norm in seen_norms:
-                return None
-            seen_norms.add(norm)
+        if prune_duplicates and not _first(norm, seen_norms):
+            return None
         return norm or text
 
     return _rebuild(corpus, "corrected", map(corrected, corpus.texts(), joined), append=False)
@@ -277,10 +272,8 @@ def synonym_expand(
 
     def variant(text: str) -> str | None:
         toks = list(_words(text))
-        norm = " ".join(toks)
-        if not toks or norm in seen_norms:
+        if not _first(" ".join(toks), seen_norms):
             return None
-        seen_norms.add(norm)
         covered = [i for i, tok in enumerate(toks) if tok in entries]
         if not covered:
             return None

@@ -10,13 +10,13 @@ optional trailing-'s' folding on by default.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .corpus import LabelRecord, PredictionSet, read_rows, write_csv
 from .exceptions import ConfigurationError, FormatError
-from .tokens import _check_word, _check_words, _words
+from .tokens import _check_container, _check_word, _check_words, _words
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,13 @@ def _lookup(triggers: Mapping, fold_plural_s: bool) -> dict[str, set]:
 
 def default_scene_keywords(labels: Sequence[LabelRecord]) -> dict[str, frozenset[str]]:
     """Each scene triggers on its own name; scenes in first-appearance order."""
-    keywords: dict[str, frozenset[str]] = {}
-    for label in labels:
-        keywords.setdefault(label.scene, frozenset({label.scene}))
-    return keywords
+    return {label.scene: frozenset({label.scene}) for label in labels}
 
 
 def _check_scene(scene: str, triggers: tuple[str, ...]) -> None:
     if not scene or not triggers:
         raise FormatError("empty scene or trigger list")
-    for trigger in triggers:
-        _check_word(trigger, "scene trigger", FormatError)
+    _check_words(triggers, "scene trigger", FormatError)
 
 
 def load_scene_keywords(path: str | Path) -> dict[str, frozenset[str]]:
@@ -110,6 +106,7 @@ def scene_matrix(
     attribute; an attribute listed twice is counted once. Labeled images
     without a prediction are skipped and listed in ``missing_ids``; nothing is logged.
     """
+    _check_container(scene_keywords, Mapping, "scene keywords: expected a mapping", ConfigurationError)
     scenes = tuple(scene_keywords)
     scene_lookup = _lookup(scene_keywords, fold_plural_s)
     _check_words(attributes, "scene trigger or attribute", ConfigurationError)

@@ -9,6 +9,7 @@ happens in :mod:`captionkit.tokens`).
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import re
@@ -247,8 +248,9 @@ def _standard_fd(st: os.stat_result) -> int | None:
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Write UTF-8 text (``newline=""``) to a sibling temp file, renamed onto ``path`` on success.
 
-    The temp file takes the mode of a file already at ``path`` and is synced before the rename (its
-    directory is not); if the block raises, it is removed and ``path`` is left as it was. A symlink is
+    The temp file takes the mode of a file already at ``path`` and is synced before the rename, and its
+    directory after it where ``os.O_DIRECTORY`` exists, unless the file system cannot sync a directory;
+    if the block raises, the temp file is removed and ``path`` is left as it was. A symlink is
     written through to its target; a symlink loop is an ``OSError`` naming ``path``. The file that is
     this process's stdout or stderr, such as ``/dev/stdout`` redirected to a file, is written through
     that open stream, and a device or pipe is written directly: neither is replaced nor synced. An
@@ -276,7 +278,19 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
             os.fsync(fh.fileno())  # the data is on disk before the new name can point at it
         if st:
             os.chmod(tmp, stat.S_IMODE(st.st_mode))
-        os.replace(tmp, path)
+        # opened before the rename, so a directory that cannot be opened leaves ``path`` as it was
+        dir_fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY) if hasattr(os, "O_DIRECTORY") else None
+        try:
+            os.replace(tmp, path)
+            if dir_fd is not None:
+                try:
+                    os.fsync(dir_fd)  # the new name is on disk, as the data is
+                except OSError as exc:
+                    if exc.errno != errno.EINVAL:  # EINVAL: the file system cannot sync a directory
+                        raise
+        finally:
+            if dir_fd is not None:
+                os.close(dir_fd)
     except BaseException as exc:
         if fh is not None:  # a temp file this call made, never one it could not make
             tmp.unlink(missing_ok=True)
@@ -399,7 +413,7 @@ def ingest_captions(
         payload = read_json(path)
         images = payload.get("images") if isinstance(payload, dict) else None
         if not isinstance(images, list):
-            raise FormatError(f"{path}: expected a top-level object with an 'images' list")
+            raise _located(path, FormatError("expected a top-level object with an 'images' list"))
         entries = ((f"{path}: images[{i}]", entry) for i, entry in enumerate(images))
     else:
         entries = _jsonl_values(path)

@@ -20,18 +20,18 @@ exactly what ``str.isalnum`` and ``str.isspace`` do on every code point, so
 no strip set has to list the non-ASCII characters.
 
 The grammar has two entry points: ``tokenize`` adds the count of letters and
-digits, and the stages, which read only tokens, call ``_words``. ``_check_word``
-is the one test of a word from a rule, keyword or index file: it must be a
-token the grammar can produce. ``_rewrite`` is the one phrase-table rewriter,
-shared by correction and the offline translator.
+digits, and the stages, which read only tokens, call ``_words``. Each rule the
+stages share is written once: a rule, keyword or index word must be a token
+(``_check_word``), a rule container has its shape (``_check_container``), which
+captions are the same (``_first``), the phrase-table rewrite (``_rewrite``).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
 
 from .exceptions import ValidationError
 
@@ -66,12 +66,22 @@ def _check_word(word: str, what: str, error: type[Exception] = ValidationError) 
         raise error(f"{what} must be one lower-case token as the tokenizer reads it, got {word!r}")
 
 
-def _check_words(words: Iterable[str], what: str, error: type[Exception] = ValidationError) -> None:
-    """``_check_word`` on each of ``words``; a string is refused whole, as each of its letters would pass."""
-    if isinstance(words, str):
-        raise error(f"{what}: expected a collection of words, got the string {words!r}")
+def _check_container(value: object, kind: type, expected: str, error: type[Exception] = ValidationError) -> None:
+    """Raise ``error`` ("``expected``, got ...") unless ``value`` is a ``kind`` and no string, read letter by letter."""
+    if isinstance(value, str) or not isinstance(value, kind):
+        raise error(f"{expected}, got " + (f"the string {value!r}" if isinstance(value, str) else type(value).__name__))
+
+
+def _check_words(words: Collection[str], what: str, error: type[Exception] = ValidationError) -> None:
+    """``_check_word`` on each of ``words``, which must be a collection and no string."""
+    _check_container(words, Collection, f"{what}: expected a collection of words", error)
     for word in words:
         _check_word(word, what, error)
+
+
+def _first(norm: str, seen: set[str]) -> bool:
+    """Whether caption token join ``norm`` is new to ``seen``, which records it; ``""`` is always new, never kept."""
+    return not norm or not (norm in seen or seen.add(norm))
 
 
 def _rewrite(keys: Sequence[str], words: Sequence[str], table: Mapping, widths: Sequence[int]) -> list[str]:

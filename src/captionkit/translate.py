@@ -9,11 +9,12 @@ run without network access.
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol
 
 from .exceptions import TranslationError, ValidationError
-from .tokens import _rewrite
+from .tokens import _check_container, _rewrite
 
 if TYPE_CHECKING:  # HttpTranslator imports it at run time
     import requests
@@ -62,19 +63,22 @@ DEFAULT_MOCK_RULES: dict[tuple[str, ...], tuple[str, ...]] = {
 class MockTranslator:
     """Offline stand-in: rewrites word patterns, ignores language codes.
 
-    ``rules`` maps a non-empty tuple of lower-case words without whitespace to
-    its replacement words (else ``ValidationError``, also for a bare string);
-    an empty replacement drops the pattern. Words are whitespace-split, not
-    tokens. With no rules this is the identity translator.
+    ``rules`` maps a non-empty sequence of lower-case words without whitespace
+    to a sequence of replacement words (else ``ValidationError``; a string is
+    neither); an empty replacement drops the pattern. Words are whitespace-split,
+    not tokens. With no rules this is the identity translator.
     """
 
     def __init__(self, rules: Mapping[Sequence[str], Sequence[str]] | None = None):
         source = DEFAULT_MOCK_RULES if rules is None else rules
-        if any(isinstance(pat, str) or isinstance(rep, str) for pat, rep in source.items()):
-            raise ValidationError("mock translator patterns and replacements must be word tuples, not strings")
+        _check_container(source, Mapping, "mock translator rules: expected a mapping")
+        for pat, rep in source.items():
+            _check_container(pat, Sequence, "mock translator pattern: expected a sequence of words")
+            _check_container(rep, Sequence, "mock translator replacement: expected a sequence of words")
+            if not pat or not all(isinstance(w, str) for w in (*pat, *rep)) \
+                    or any(w.split() != [w.lower()] for w in pat):
+                raise ValidationError("mock translator rules map non-empty lower-case whitespace-free words to words")
         self._rules = {tuple(pat): tuple(rep) for pat, rep in source.items()}
-        if any(not pat or any(word.split() != [word.lower()] for word in pat) for pat in self._rules):
-            raise ValidationError("mock translator patterns must be non-empty, lower-case words without whitespace")
         # widest pattern first so "next to" wins over any single-word rule
         self._widths = sorted({len(pat) for pat in self._rules}, reverse=True)
 

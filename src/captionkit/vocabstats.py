@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, write_csv
 from .exceptions import ConfigurationError, DegenerateInputError
-from .tokens import _words
+from .tokens import _first, _words
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,17 @@ def profile(corpus: Corpus) -> VocabularyProfile:
     if not corpus.records:
         raise DegenerateInputError("cannot profile an empty corpus")
     freq: Counter[str] = Counter()
-    norms_seen: set[object] = set()
+    norms_seen: set[str] = set()
     total_captions = corpus.caption_count()
-    within_image_duplicates = 0
+    unique_captions = within_image_duplicates = 0
     for record in corpus.records:
-        record_norms: set[object] = set()
+        record_norms: set[str] = set()
         for text in record.texts:
             toks = _words(text)
             freq.update(toks)
-            # a caption without tokens duplicates nothing, so its key equals no other key
-            norm = " ".join(toks) or object()
-            norms_seen.add(norm)
-            if norm in record_norms:
-                within_image_duplicates += 1
-            record_norms.add(norm)
-    unique_captions = len(norms_seen)
+            norm = " ".join(toks)
+            unique_captions += _first(norm, norms_seen)
+            within_image_duplicates += not _first(norm, record_norms)
     return VocabularyProfile(
         freq=dict(freq),
         total_tokens=sum(freq.values()),

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -402,11 +403,54 @@ def test_the_temp_file_is_synced_before_it_is_renamed(tmp_path, monkeypatch):
     target = tmp_path / "out.txt"
     with atomic_write(target) as fh:
         fh.write("a beach\n")
-    assert [kind for kind, _ in events] == ["fsync", "replace"]
-    (_, synced), (_, renamed) = events
+    assert [kind for kind, _ in events] == ["fsync", "replace", "fsync"]
+    (_, synced), (_, renamed), (_, directory) = events
     assert os.path.samestat(synced, renamed)
     assert synced.st_size == len("a beach\n")  # flushed before the sync
+    assert os.path.samestat(directory, os.stat(tmp_path))  # then the directory that holds the new name
     assert target.read_text(encoding="utf-8") == "a beach\n"
+
+
+@pytest.mark.parametrize("code, raises", [(errno.EINVAL, False), (errno.EIO, True)], ids=["einval", "eio"])
+def test_a_directory_sync_fault_raises_unless_the_file_system_cannot_sync_one(tmp_path, monkeypatch, code, raises):
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if os.path.samestat(os.fstat(fd), os.stat(tmp_path)):
+            raise OSError(code, os.strerror(code))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    target = tmp_path / "out.txt"
+    try:
+        with atomic_write(target) as fh:
+            fh.write("a beach\n")
+    except OSError as exc:
+        assert raises and exc.errno == code and exc.filename == str(target)
+    else:
+        assert not raises
+    assert target.read_text(encoding="utf-8") == "a beach\n"  # renamed before the directory sync
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_a_directory_that_cannot_be_opened_leaves_the_path_as_it_was(tmp_path, monkeypatch):
+    if not hasattr(os, "O_DIRECTORY"):
+        pytest.skip("the directory is synced only where os.O_DIRECTORY exists")
+    real_open = os.open
+
+    def open_(path, flags, *args, **kwargs):
+        if flags & getattr(os, "O_DIRECTORY", 0):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", open_)
+    target = tmp_path / "out.txt"
+    target.write_text("old\n", encoding="utf-8")
+    with pytest.raises(PermissionError):
+        with atomic_write(target) as fh:
+            fh.write("new\n")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_corpus_from_documents_lowercases_ids():

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from captionkit.augment import CorrectionRules, Thesaurus, correct
+from captionkit.augment import CorrectionRules, Thesaurus, correct, synonym_expand
 from captionkit.cli import run
 from captionkit.confusion import scene_matrix
 from captionkit.corpus import LabelRecord, PredictionSet
 from captionkit.discover import INDEX_VERSION, load_index, query
-from captionkit.exceptions import ConfigurationError, FormatError, ValidationError
+from captionkit.exceptions import CaptionKitError, ConfigurationError, FormatError, ValidationError
 from captionkit.tokens import _words
 from captionkit.translate import MockTranslator
 from conftest import corpus_from_documents, write_jsonl
@@ -56,8 +56,22 @@ def test_rule_container_rejects_non_token(build):
     lambda: CorrectionRules(frozenset({"beach"}), (("ab", "x"),)),
     lambda: CorrectionRules(frozenset({"beach"}), ((["c", "shape"], "c-shaped"),)),
     lambda: Thesaurus({"beach": "shore"}),
+    lambda: CorrectionRules(frozenset({"a"}), "ab"),
+    lambda: CorrectionRules(frozenset({"a"}), (5,)),
+    lambda: CorrectionRules(frozenset({"a"}), ((("a", "b"), "c", "d"),)),
+    lambda: CorrectionRules(frozenset({"a"}), (), "ab"),
+    lambda: CorrectionRules(frozenset({"a"}), (), [("b", "a")]),
+    lambda: CorrectionRules(5),
+    lambda: Thesaurus("beach"),
+    lambda: Thesaurus([("beach", ("shore",))]),
+    lambda: Thesaurus({"beach": (5,)}),
+    lambda: MockTranslator("ab"),
+    lambda: MockTranslator({(5,): ("x",)}),
+    lambda: MockTranslator({("a",): 5}),
 ], ids=["dictionary-string", "override-value-tuple", "merge-one-word", "merge-three-words", "merge-string",
-        "merge-list", "thesaurus-synonyms-string"])
+        "merge-list", "thesaurus-synonyms-string", "merge-patterns-string", "merge-rule-int", "merge-rule-triple",
+        "overrides-string", "overrides-list", "dictionary-int", "thesaurus-string", "thesaurus-pairs",
+        "synonym-int", "mock-rules-string", "mock-pattern-word-int", "mock-replacement-int"])
 def test_rule_container_refuses_a_shape_it_cannot_apply(build):
     # a string would be read letter by letter; a bigram of another width cannot key correct's rewrite table
     with pytest.raises(ValidationError):
@@ -73,6 +87,18 @@ def test_scene_matrix_refuses_a_string_of_words(keywords, attributes):
     predictions = PredictionSet({"x": "a plane on a runway"})
     with pytest.raises(ConfigurationError, match="expected a collection of words, got the string"):
         scene_matrix(predictions, LABELS, keywords, attributes=attributes)
+
+
+@pytest.mark.parametrize("keywords, attributes", [
+    ([("beach", ("beach",))], ()),
+    ({"beach": 5}, ()),
+    ({"beach": frozenset({"beach"})}, 5),
+    ({"beach": frozenset({"beach"})}, iter(["white"])),
+], ids=["keywords-pairs", "triggers-int", "attributes-int", "attributes-iterator"])
+def test_scene_matrix_refuses_a_container_it_cannot_read(keywords, attributes):
+    # an iterator would be used up by the word check, leaving the counting pass no attribute to count
+    with pytest.raises(ConfigurationError, match="expected a (mapping|collection of words), got"):
+        scene_matrix(PredictionSet({"x": "white waves on a beach"}), LABELS, keywords, attributes=attributes)
 
 
 @pytest.mark.parametrize("keywords, attributes", [
@@ -158,3 +184,58 @@ def test_load_index_keys_are_reachable(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     index = load_index(path)
     assert query(index, ["Beach", "C-shaped."]) == ["b"]
+
+
+
+
+_TOKEN = st.sampled_from(["beach", "sea", "a"])
+_LEAF = _TOKEN | st.none() | st.integers(0, 1) | st.sampled_from(["sea shore", "", "Beach."])
+_KEY = _LEAF | st.tuples(_LEAF) | st.tuples(_LEAF, _LEAF) | st.frozensets(_LEAF, max_size=2)  # hashable
+
+
+def _nested(items, keys):
+    """``items`` alone or in a tuple, list, frozenset (of ``keys``) or dict (keyed by ``keys``)."""
+    return (items | st.tuples(items) | st.tuples(items, items) | st.lists(items, max_size=3)
+            | st.frozensets(keys, max_size=3) | st.dictionaries(keys, items, max_size=3))
+
+
+_SHAPE = _nested(_nested(_LEAF, _LEAF), _KEY)  # two deep
+_TOKENS = _nested(_TOKEN, _TOKEN)  # a container of tokens, of any kind
+
+
+def _or_any_shape(near):
+    """Half the draws ``near``, a value close to what a container needs, so that some build and are applied."""
+    return st.booleans().flatmap(lambda close: near if close else _SHAPE)
+
+
+def _survives(build, apply):
+    """Build a rule container and, if it builds, apply it; either step may raise only a CaptionKitError."""
+    try:
+        apply(build())
+    except CaptionKitError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionary=_or_any_shape(st.frozensets(_TOKEN, min_size=1) | _TOKENS),
+       merges=_or_any_shape(st.lists(st.tuples(st.tuples(_TOKEN, _TOKEN), _LEAF), max_size=2)
+                            | _nested(st.tuples(st.tuples(_TOKEN, _TOKEN), _TOKEN), st.tuples(_TOKEN, _TOKEN))),
+       overrides=_or_any_shape(st.dictionaries(_TOKEN, _LEAF, max_size=2)),
+       entries=_or_any_shape(st.dictionaries(_TOKEN, st.tuples(_TOKEN) | _TOKENS, min_size=1, max_size=2)),
+       mock_rules=_or_any_shape(st.dictionaries(_TOKEN | st.tuples(_TOKEN) | st.frozensets(_TOKEN), _TOKENS)),
+       keywords=_or_any_shape(st.dictionaries(_TOKEN, _TOKENS, max_size=2)),
+       attributes=_or_any_shape(_TOKENS))
+@example(dictionary=frozenset({"beach"}), merges=[(("sea", "shore"), "seashore")], overrides={"a": "sea"},
+         entries={"beach": ("sea shore",)}, mock_rules={("a", "beach"): ("sea",)},
+         keywords={"beach": frozenset({"beach"}), "sea": ("sea",)}, attributes=("sea", "a"))
+def test_a_rule_container_of_any_shape_fails_only_with_a_captionkit_error(
+        dictionary, merges, overrides, entries, mock_rules, keywords, attributes):
+    corpus = corpus_from_documents({"x": ["A beach near the sea.", "..."], "y": ["sea shore", "a beach"]}, "t")
+    predictions = PredictionSet({"x": "a beach near the sea", "y": "Sea shore."})
+    labels = [LabelRecord("x", "beach"), LabelRecord("y", "beach")]
+    _survives(lambda: CorrectionRules(dictionary, merges, overrides),
+              lambda rules: correct(corpus, rules, prune_duplicates=True))
+    _survives(lambda: Thesaurus(entries), lambda thesaurus: synonym_expand(corpus, thesaurus, 2, seed=0))
+    _survives(lambda: MockTranslator(mock_rules), lambda mock: [mock.translate(t, "en", "es") for t in corpus.texts()])
+    _survives(lambda: (keywords, attributes),
+              lambda shapes: scene_matrix(predictions, labels, shapes[0], attributes=shapes[1]))

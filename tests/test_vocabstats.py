@@ -10,15 +10,19 @@ from captionkit.vocabstats import VocabularyProfile, frequency_export, hapax_rat
 from conftest import corpus_from_documents
 
 WORDS = ["airport", "beach", "bridge", "green", "trees", "river", "many", "a", "sea", "port"]
+NO_TOKENS = ["...", "!!"]  # captions without tokens: each is new, never a duplicate
+
+
+def _random_caption(rng):
+    if rng.random() < 0.15:
+        return rng.choice(NO_TOKENS)
+    return " ".join(rng.choices(WORDS, k=rng.randint(1, 3)))
 
 
 def _random_corpus(rng, n_images=6, max_captions=5):
     docs = {}
     for i in range(n_images):
-        captions = [
-            " ".join(rng.choices(WORDS, k=rng.randint(1, 8)))
-            for _ in range(rng.randint(1, max_captions))
-        ]
+        captions = [_random_caption(rng) for _ in range(rng.randint(1, max_captions))]
         docs[f"img{i}"] = captions
     return corpus_from_documents(docs, "random")
 
@@ -158,6 +162,12 @@ def test_brute_force_freq_equivalence():
                     naive[tok] += 1
         assert prof.freq == dict(naive)
         assert prof.hapax_count == sum(1 for n in naive.values() if n == 1)
+        # a caption duplicates an earlier one with the same tokens; one without tokens duplicates nothing
+        joins = [[" ".join(tokenize(cap.raw).tokens) for cap in record.captions] for record in corpus.records]
+        flat = [join for record in joins for join in record]
+        assert prof.unique_captions == flat.count("") + len(set(flat) - {""})
+        assert prof.within_image_duplicate_captions == sum(
+            sum(1 for i, join in enumerate(record) if join and join in record[:i]) for record in joins)
 
 
 def test_profile_invariant_under_record_reordering():
