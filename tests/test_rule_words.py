@@ -208,10 +208,10 @@ def _or_any_shape(near):
     return st.booleans().flatmap(lambda close: near if close else _SHAPE)
 
 
-def _survives(build, apply):
-    """Build a rule container and, if it builds, apply it; either step may raise only a CaptionKitError."""
+def _survives(build_and_apply):
+    """Build rule containers and, if they build, apply them: either step may raise only a CaptionKitError."""
     try:
-        apply(build())
+        build_and_apply()
     except CaptionKitError:
         pass
 
@@ -233,9 +233,7 @@ def test_a_rule_container_of_any_shape_fails_only_with_a_captionkit_error(
     corpus = corpus_from_documents({"x": ["A beach near the sea.", "..."], "y": ["sea shore", "a beach"]}, "t")
     predictions = PredictionSet({"x": "a beach near the sea", "y": "Sea shore."})
     labels = [LabelRecord("x", "beach"), LabelRecord("y", "beach")]
-    _survives(lambda: CorrectionRules(dictionary, merges, overrides),
-              lambda rules: correct(corpus, rules, prune_duplicates=True))
-    _survives(lambda: Thesaurus(entries), lambda thesaurus: synonym_expand(corpus, thesaurus, 2, seed=0))
-    _survives(lambda: MockTranslator(mock_rules), lambda mock: [mock.translate(t, "en", "es") for t in corpus.texts()])
-    _survives(lambda: (keywords, attributes),
-              lambda shapes: scene_matrix(predictions, labels, shapes[0], attributes=shapes[1]))
+    _survives(lambda: correct(corpus, CorrectionRules(dictionary, merges, overrides), prune_duplicates=True))
+    _survives(lambda: synonym_expand(corpus, Thesaurus(entries), 2, seed=0))
+    _survives(lambda: [MockTranslator(mock_rules).translate(text, "en", "es") for text in corpus.texts()])
+    _survives(lambda: scene_matrix(predictions, labels, keywords, attributes=attributes))
