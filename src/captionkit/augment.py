@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .corpus import Corpus, ImageRecord, _measure, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
-from .tokens import _check_container, _check_word, _check_words, _first, _rewrite, _words
+from .tokens import _check_container, _check_count, _check_word, _check_words, _first, _rewrite, _words
 from .translate import TranslationChain, _PermanentFailure
 
 logger = logging.getLogger(__name__)
@@ -262,10 +262,11 @@ def synonym_expand(
     ``replacements_per_caption`` thesaurus-covered token positions are picked
     uniformly at random and each replaced by a uniformly chosen synonym.
     Originals are always retained; captions with no covered token gain no
-    variant. Equal seeds give byte-identical output.
+    variant. ``seed`` must be an ``int``, never ``None`` and the clock, so equal
+    seeds give byte-identical output.
     """
-    if replacements_per_caption < 1:
-        raise ConfigurationError("replacements_per_caption must be >= 1")
+    _check_count(replacements_per_caption, "replacements_per_caption", 1)
+    _check_count(seed, "seed")
     rng = random.Random(seed)
     entries = thesaurus.entries
     seen_norms: set[str] = set()
@@ -301,18 +302,15 @@ def back_translate(
     before the rest is queued; if every one of them fails, the run raises
     ``TranslationError`` without sending the rest, so a service that is down
     costs only their retry budget. Requests run on a pool of ``concurrency``
-    worker threads, never more than there are captions (``ConfigurationError``
-    below one or above ``MAX_CONCURRENCY``, as for ``max_retries`` below 0 or
-    above ``MAX_RETRIES``); output order always follows input order.
+    worker threads, never more than there are captions (an ``int`` from 1 to
+    ``MAX_CONCURRENCY``, ``max_retries`` one from 0 to ``MAX_RETRIES`` and
+    ``backoff`` finite and >= 0, else ``ConfigurationError`` before any
+    request); output order always follows input order.
     """
-    if max_retries < 0:
-        raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
-    if max_retries > MAX_RETRIES:
-        raise ConfigurationError(f"max_retries must be <= {MAX_RETRIES}, got {max_retries}")
-    if concurrency < 1:
-        raise ConfigurationError(f"concurrency must be >= 1, got {concurrency}")
-    if concurrency > MAX_CONCURRENCY:
-        raise ConfigurationError(f"concurrency must be <= {MAX_CONCURRENCY}, got {concurrency}")
+    _check_count(max_retries, "max_retries", 0, MAX_RETRIES)
+    _check_count(concurrency, "concurrency", 1, MAX_CONCURRENCY)
+    if isinstance(backoff, bool) or not isinstance(backoff, (int, float)) or not 0 <= backoff < float("inf"):
+        raise ConfigurationError(f"backoff must be a finite, non-negative number of seconds, got {backoff!r}")
     image_ids = [record.image_id for record in corpus.records for _ in record.texts]
     texts = list(corpus.texts())
 

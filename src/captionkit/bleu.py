@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, PredictionSet
 from .exceptions import ConfigurationError, DegenerateInputError
-from .tokens import _words
+from .tokens import _check_container, _check_count, _words
 
 MAX_ORDER = 4
 
@@ -47,17 +47,23 @@ class BleuResult:
 
 def ngram_counts(tokens: TokenSeq, n: int) -> Counter:
     """Multiset of contiguous n-grams; empty when the sequence is shorter than n."""
-    if n < 1:
-        raise ConfigurationError(f"n-gram order must be >= 1, got {n}")
+    _check_container(tokens, Sequence, "n-gram tokens: expected a sequence of tokens", ConfigurationError, str)
+    _check_count(n, "n-gram order", 1)
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
 def _check_shapes(candidates: Sequence[TokenSeq], references: Sequence[Sequence[TokenSeq]]) -> None:
+    _check_container(candidates, Sequence, "candidates: expected a sequence of token sequences", ConfigurationError)
+    _check_container(references, Sequence, "references: expected a sequence of reference lists", ConfigurationError)
     if not candidates:
         raise DegenerateInputError("no candidates to score")
     if len(candidates) != len(references):
         raise ConfigurationError(f"{len(candidates)} candidates but {len(references)} reference lists")
     for i, (cand, refs) in enumerate(zip(candidates, references)):
+        _check_container(cand, Sequence, f"candidate {i}: expected a sequence of tokens", ConfigurationError, str)
+        _check_container(refs, Sequence, f"candidate {i}: expected a sequence of references", ConfigurationError)
+        for ref in refs:
+            _check_container(ref, Sequence, f"candidate {i}: expected references of tokens", ConfigurationError, str)
         if not cand:
             raise DegenerateInputError(f"candidate {i} has no tokens")
         if not refs:
@@ -117,8 +123,7 @@ def modified_precision(
     corpus before any ratio is taken.
     """
     _check_shapes(candidates, references)
-    if n < 1:
-        raise ConfigurationError(f"n-gram order must be >= 1, got {n}")
+    _check_count(n, "n-gram order", 1)
     pairs = [_stats(cand, refs, n)[2 * n - 2 : 2 * n] for cand, refs in zip(candidates, references)]
     return sum(m for m, _ in pairs), sum(t for _, t in pairs)
 
@@ -128,14 +133,16 @@ def bleu_score(
     references: Sequence[Sequence[TokenSeq]],
     max_order: int = MAX_ORDER,
 ) -> BleuResult:
-    """Corpus-level BLEU over token sequences, one reference list per candidate."""
+    """Corpus-level BLEU-1..``max_order`` over token sequences, one reference list per candidate."""
     _check_shapes(candidates, references)
+    _check_count(max_order, "max_order", 1)
     vectors = [_stats(cand, refs, max_order) for cand, refs in zip(candidates, references)]
     return _result([sum(column) for column in zip(*vectors)])
 
 
 def sentence_bleu(candidate: TokenSeq, references: Sequence[TokenSeq]) -> BleuResult:
-    """Per-sentence BLEU, unsmoothed; zero orders are flagged on the result."""
+    """Per-sentence BLEU, unsmoothed; zero orders are flagged on the result. A string is never read
+    as the tokens or references (``ConfigurationError``)."""
     return bleu_score([candidate], [references])
 
 

@@ -105,7 +105,10 @@ def scene_matrix(
     counts, per attribute token and true scene, the captions mentioning that
     attribute; an attribute listed twice is counted once. Labeled images
     without a prediction are skipped and listed in ``missing_ids``; nothing is logged.
+    ``labels`` must be a sequence of ``LabelRecord`` and ``scene_keywords`` a
+    mapping (else ``ConfigurationError``).
     """
+    _check_container(labels, Sequence, "labels: expected a sequence of label records", ConfigurationError, LabelRecord)
     _check_container(scene_keywords, Mapping, "scene keywords: expected a mapping", ConfigurationError)
     scenes = tuple(scene_keywords)
     scene_lookup = _lookup(scene_keywords, fold_plural_s)
@@ -148,7 +151,8 @@ def attribute_table(
     attributes: Sequence[str],
     fold_plural_s: bool = True,
 ) -> dict[tuple[str, str], int]:
-    """Images per true scene (the labels' scenes) whose caption mentions each attribute token."""
+    """Images per true scene (the labels' scenes, a sequence read twice) whose caption mentions each attribute."""
+    _check_container(labels, Sequence, "labels: expected a sequence of label records", ConfigurationError, LabelRecord)
     # Empty trigger sets: only the attribute counts of the shared pass are wanted.
     scenes = {scene: frozenset() for scene in sorted({label.scene for label in labels})}
     report = scene_matrix(predictions, labels, scenes, fold_plural_s, attributes)

@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import _measure, atomic_write, read_json
-from .exceptions import FormatError, IndexVersionError, QueryError
-from .tokens import _check_word, _words
+from .exceptions import ConfigurationError, FormatError, IndexVersionError, QueryError
+from .tokens import _check_container, _check_count, _check_word, _words
 
 INDEX_VERSION = 1
 
@@ -39,7 +39,9 @@ def build_index(documents: Mapping[str, str]) -> InvertedIndex:
 
     Ids are walked in ascending order and appended to each of their tokens'
     lists, so every list is sorted and duplicate-free as it is built.
+    ``documents`` must be a mapping (else ``ConfigurationError``).
     """
+    _check_container(documents, Mapping, "documents: expected a mapping of id to text", ConfigurationError)
     acc: defaultdict[str, list[str]] = defaultdict(list)
     for doc_id, text in sorted(documents.items()):  # ids are unique: texts are never compared
         for token in set(_words(text)):
@@ -54,8 +56,10 @@ def query(index: InvertedIndex, terms: Sequence[str]) -> list[str]:
     Starts from the shortest posting list; each longer list, in order of
     length, keeps those of its ids that are still in the result, so only ids
     of the shortest list are ever hashed, the result stays in posting order,
-    and the walk stops as soon as nothing is left.
+    and the walk stops as soon as nothing is left. ``terms`` is a sequence of
+    strings, never one string read letter by letter (else ``ConfigurationError``).
     """
+    _check_container(terms, Sequence, "query terms: expected a sequence of strings", ConfigurationError, str)
     toks = _words(" ".join(terms))
     if not toks:
         raise QueryError("query is empty after tokenization")
@@ -83,15 +87,11 @@ def _index(payload: object) -> InvertedIndex:  # every fault names no file: load
         raise FormatError("not an index file (missing 'version')")
     if type(payload["version"]) is not int or payload["version"] != INDEX_VERSION:
         raise IndexVersionError(f"index version {payload['version']!r} is not supported (expected {INDEX_VERSION})")
-    postings = payload.get("postings")
-    doc_count = payload.get("doc_count")
-    if not isinstance(postings, dict):
-        raise FormatError("malformed index payload")
-    if isinstance(doc_count, bool) or not isinstance(doc_count, int) or doc_count < 0:
-        raise FormatError(f"doc_count must be a non-negative integer, got {doc_count!r}")
+    postings, doc_count = payload.get("postings"), payload.get("doc_count")
+    _check_container(postings, dict, "malformed index payload: expected a postings object", FormatError)
+    _check_count(doc_count, "doc_count", 0, error=FormatError)
     for token, ids in postings.items():  # each list becomes its tuple in place: no key is added
-        if not isinstance(ids, list) or any(not isinstance(i, str) for i in ids):
-            raise FormatError(f"postings for {token!r} are not a string list")
+        _check_container(ids, list, f"postings for {token!r} are not a string list", FormatError, str)
         if any(a >= b for a, b in zip(ids, ids[1:])) or len(ids) > doc_count:
             raise FormatError(f"postings for {token!r} are not sorted, unique and <= doc_count")
         _check_word(token, "posting key", FormatError)

@@ -22,8 +22,10 @@ no strip set has to list the non-ASCII characters.
 The grammar has two entry points: ``tokenize`` adds the count of letters and
 digits, and the stages, which read only tokens, call ``_words``. Each rule the
 stages share is written once: a rule, keyword or index word must be a token
-(``_check_word``), a rule container has its shape (``_check_container``), which
-captions are the same (``_first``), the phrase-table rewrite (``_rewrite``).
+(``_check_word``), a container argument has its shape and is no string
+(``_check_container``), a count argument is an ``int`` in its range
+(``_check_count``), which captions are the same (``_first``), the phrase-table
+rewrite (``_rewrite``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
-from .exceptions import ValidationError
+from .exceptions import ConfigurationError, ValidationError
 
 _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
 # One whitespace-delimited chunk from its first to its last letter or digit:
@@ -66,10 +68,26 @@ def _check_word(word: str, what: str, error: type[Exception] = ValidationError) 
         raise error(f"{what} must be one lower-case token as the tokenizer reads it, got {word!r}")
 
 
-def _check_container(value: object, kind: type, expected: str, error: type[Exception] = ValidationError) -> None:
-    """Raise ``error`` ("``expected``, got ...") unless ``value`` is a ``kind`` and no string, read letter by letter."""
+def _check_container(value: object, kind: type, expected: str, error: type[Exception] = ValidationError,
+                     item: type | None = None) -> None:
+    """Raise ``error`` ("``expected``, got ...") unless ``value`` is a ``kind`` and no string, read letter by
+    letter, and each of its members an ``item``."""
     if isinstance(value, str) or not isinstance(value, kind):
         raise error(f"{expected}, got " + (f"the string {value!r}" if isinstance(value, str) else type(value).__name__))
+    for member in value if item else ():
+        if not isinstance(member, item):
+            raise error(f"{expected}, got {member!r} in it")
+
+
+def _check_count(value: object, what: str, low: int | None = None, high: int | None = None,
+                 error: type[Exception] = ConfigurationError) -> None:
+    """Raise ``error`` unless ``value`` is an ``int``, and no ``bool``, from ``low`` to ``high`` where given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{what} must be <= {high}, got {value}")
 
 
 def _check_words(words: Collection[str], what: str, error: type[Exception] = ValidationError) -> None:

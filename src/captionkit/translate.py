@@ -30,12 +30,13 @@ class Translator(Protocol):
 
 @dataclass(frozen=True)
 class TranslationChain:
-    """Pivot-language hops, implicitly starting and ending at English."""
+    """Pivot-language hops, a sequence of strings, implicitly starting and ending at English."""
 
     hops: tuple[str, ...]
     translator: Translator
 
     def __post_init__(self) -> None:
+        _check_container(self.hops, Sequence, "translation chain: expected a sequence of hops", item=str)
         if not self.hops:
             raise ValidationError("translation chain needs at least one hop")
         for a, b in self.legs():
@@ -73,10 +74,9 @@ class MockTranslator:
         source = DEFAULT_MOCK_RULES if rules is None else rules
         _check_container(source, Mapping, "mock translator rules: expected a mapping")
         for pat, rep in source.items():
-            _check_container(pat, Sequence, "mock translator pattern: expected a sequence of words")
-            _check_container(rep, Sequence, "mock translator replacement: expected a sequence of words")
-            if not pat or not all(isinstance(w, str) for w in (*pat, *rep)) \
-                    or any(w.split() != [w.lower()] for w in pat):
+            _check_container(pat, Sequence, "mock translator pattern: expected a sequence of words", item=str)
+            _check_container(rep, Sequence, "mock translator replacement: expected a sequence of words", item=str)
+            if not pat or any(w.split() != [w.lower()] for w in pat):
                 raise ValidationError("mock translator rules map non-empty lower-case whitespace-free words to words")
         self._rules = {tuple(pat): tuple(rep) for pat, rep in source.items()}
         # widest pattern first so "next to" wins over any single-word rule

@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .corpus import Corpus, write_csv
-from .exceptions import ConfigurationError, DegenerateInputError
-from .tokens import _first, _words
+from .exceptions import DegenerateInputError
+from .tokens import _check_count, _first, _words
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,10 @@ def profile(corpus: Corpus) -> VocabularyProfile:
 def top_k_coverage(prof: VocabularyProfile, k: int) -> Coverage:
     """Fraction of all token occurrences covered by the k most frequent tokens.
 
-    ``k`` beyond the vocabulary size simply covers everything.
+    ``k`` is an ``int`` of at least 1 (else ``ConfigurationError``); beyond the
+    vocabulary size it simply covers everything.
     """
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
+    _check_count(k, "k", 1)
     covered = sum(count for _, count in prof.ranked()[:k])
     fraction = covered / prof.total_tokens if prof.total_tokens else 0.0
     return Coverage(fraction, covered)
