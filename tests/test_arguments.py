@@ -33,7 +33,7 @@ KEYWORDS = {"beach": frozenset({"beach"}), "sea": frozenset({"sea"})}
 
 
 @pytest.mark.parametrize("call", [
-    # wrong output at the parent, with no error
+    # these gave wrong output, with no error, before the shared rule
     lambda: sentence_bleu("a beach", ["a beach"]),
     lambda: sentence_bleu(["a", "beach"], "a beach"),
     lambda: ngram_counts("ab", 1),
@@ -45,7 +45,7 @@ KEYWORDS = {"beach": frozenset({"beach"}), "sea": frozenset({"sea"})}
     lambda: bleu_score([["a"]], [[["a"]]], max_order=0),
     lambda: TranslationChain("es", MockTranslator()),
     lambda: TranslationChain(iter(["es", "de"]), MockTranslator()),
-    # a bare Python error at the parent
+    # these ended in a bare Python error
     lambda: back_translate(CORPUS, CHAIN, concurrency="2"),
     lambda: back_translate(CORPUS, CHAIN, max_retries=1.5),
     lambda: back_translate(CORPUS, CHAIN, max_retries=None),

@@ -671,7 +671,7 @@ def test_back_translate_rejects_zero_concurrency():
 
 @pytest.mark.parametrize("backoff", ["0.1", -1.0, float("nan"), float("inf"), True, None])
 def test_back_translate_rejects_a_backoff_that_is_no_finite_non_negative_number(backoff):
-    # at the parent "0.1" raised a bare TypeError in a worker after the first failure, and -1.0 and nan never waited
+    # "0.1" used to raise a bare TypeError in a worker after the first failure, and -1.0 and nan never waited
     corpus = corpus_from_documents({"i1": ["a beach"]}, "t")
     translator = _FlakyTranslator(failures=1)
     with pytest.raises(ConfigurationError, match=r"^backoff must be a finite, non-negative number of seconds"):
