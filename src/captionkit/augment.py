@@ -12,11 +12,10 @@ import random
 import time
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 
-from .corpus import Corpus, ImageRecord, _measure, read_rows
+from .corpus import Corpus, ImageRecord, Record, _measure, read_rows
 from .exceptions import ConfigurationError, FormatError, TranslationError, ValidationError
 from .tokens import _check_container, _check_count, _check_word, _check_words, _first, _rewrite, _words
 from .translate import TranslationChain, _PermanentFailure
@@ -29,23 +28,24 @@ MAX_RETRIES = 10  # each retry doubles the backoff, so 10 retries sleep at most 
 FAILED_RUN_LIMIT = 32  # back_translate stops when its first this many captions (or all, if fewer) fail
 
 
-@dataclass(frozen=True)
-class CorrectionRules:
-    """Non-empty accepted-word dictionary, ordered bigram merge rules, manual overrides; each word one token."""
+class CorrectionRules(Record):
+    """Non-empty accepted-word dictionary, ordered bigram merge rules, manual overrides (omitted, a new
+    empty dict); each word one token."""
 
-    dictionary: frozenset[str]
-    merge_patterns: tuple[MergePattern, ...] = ()
-    manual_overrides: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("dictionary", "merge_patterns", "manual_overrides")
 
-    def __post_init__(self) -> None:
-        _check_words(self.dictionary, "rule word")
-        if not self.dictionary:
+    def __init__(self, dictionary: frozenset[str], merge_patterns: tuple[MergePattern, ...] = (),
+                 manual_overrides: Mapping[str, str] | None = None) -> None:
+        manual_overrides = {} if manual_overrides is None else manual_overrides
+        _check_words(dictionary, "rule word")
+        if not dictionary:
             raise ConfigurationError("correction rules have an empty dictionary")
-        _check_container(self.merge_patterns, Sequence, "merge patterns: expected a sequence of rules")
-        for rule in self.merge_patterns:
+        _check_container(merge_patterns, Sequence, "merge patterns: expected a sequence of rules")
+        for rule in merge_patterns:
             _check_merge_rule(rule)
-        _check_container(self.manual_overrides, Mapping, "manual overrides: expected a mapping")
-        _check_words([*self.manual_overrides, *self.manual_overrides.values()], "rule word")
+        _check_container(manual_overrides, Mapping, "manual overrides: expected a mapping")
+        _check_words([*manual_overrides, *manual_overrides.values()], "rule word")
+        self._set(dictionary, merge_patterns, manual_overrides)
 
 
 def _check_entry(word: str, synonyms: Sequence[str]) -> None:
@@ -62,22 +62,22 @@ def _check_entry(word: str, synonyms: Sequence[str]) -> None:
             raise ValidationError(f"thesaurus entry {word!r}: synonym {synonym!r} does not tokenize to its own words")
 
 
-@dataclass(frozen=True)
-class Thesaurus:
+class Thesaurus(Record):
     """Word (one token) to ordered synonym list, at least one word; no word may list itself.
 
     A synonym must tokenize to exactly its whitespace-split words (``sea shore``,
     not ``Shore.``), so a variant re-tokenizes to what was written.
     """
 
-    entries: Mapping[str, tuple[str, ...]]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        _check_container(self.entries, Mapping, "thesaurus: expected a mapping")
-        if not self.entries:
+    def __init__(self, entries: Mapping[str, tuple[str, ...]]) -> None:
+        _check_container(entries, Mapping, "thesaurus: expected a mapping")
+        if not entries:
             raise ConfigurationError("thesaurus is empty")
-        for word, synonyms in self.entries.items():
+        for word, synonyms in entries.items():
             _check_entry(word, synonyms)
+        self._set(entries)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries

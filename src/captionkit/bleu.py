@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import Corpus, PredictionSet
+from .corpus import Corpus, PredictionSet, Record
 from .exceptions import ConfigurationError, DegenerateInputError
 from .tokens import _check_container, _check_count, _words
 
@@ -25,16 +24,16 @@ MAX_ORDER = 4
 TokenSeq = Sequence[str]
 
 
-@dataclass(frozen=True)
-class BleuResult:
+class BleuResult(Record):
     """Modified precisions, brevity penalty, and BLEU-1..4."""
 
-    precisions: tuple[float, ...]
-    brevity_penalty: float
-    candidate_len: int
-    effective_ref_len: int
-    bleu: Mapping[int, float]
-    zero_precision_orders: tuple[int, ...] = ()
+    __slots__ = ("precisions", "brevity_penalty", "candidate_len", "effective_ref_len", "bleu",
+                 "zero_precision_orders")
+
+    def __init__(self, precisions: tuple[float, ...], brevity_penalty: float, candidate_len: int,
+                 effective_ref_len: int, bleu: Mapping[int, float],
+                 zero_precision_orders: tuple[int, ...] = ()) -> None:
+        self._set(precisions, brevity_penalty, candidate_len, effective_ref_len, bleu, zero_precision_orders)
 
     def to_dict(self) -> dict:
         out: dict = {f"bleu{k}": self.bleu[k] for k in sorted(self.bleu)}

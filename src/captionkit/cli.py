@@ -45,12 +45,14 @@ LABELS_SCHEMA = 'labels jsonl: {"image_id": str, "scene": str, "objects": [str, 
 PREDICTIONS_SCHEMA = 'predictions jsonl: {"image_id": str, "caption": str}'
 
 
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(output: dict | Iterable[str], out: str | None) -> None:
     """Write a JSON report (a dict) or text chunks to stdout, or atomically to ``out``."""
-    if isinstance(output, dict):
-        output = [json.dumps(output, indent=2, sort_keys=True) + "\n"]
     with atomic_write(out) if out else nullcontext(sys.stdout) as fh:
-        fh.writelines(output)
+        fh.writelines([_json(output)] if isinstance(output, dict) else output)
 
 
 def _corpus(args: argparse.Namespace) -> Corpus:
@@ -182,9 +184,12 @@ def cmd_confusion(args: argparse.Namespace) -> int:
         raise _located(args.labels, ConfigurationError(f"{exc} in {args.scenes}") if args.scenes else exc) from exc
     if report.missing_ids:
         print(f"warning: {len(report.missing_ids)} labeled images have no prediction; skipped", file=sys.stderr)
-    if args.out:
-        conf.matrix_export(report, args.out)
-    _emit(report.to_dict(), str(Path(args.out) / "report.json") if args.out else None)
+    if args.out:  # both tables and report.json are replaced together, or none is
+        payload = _json(report.to_dict())
+        report_json = Path(args.out) / "report.json", lambda fh: fh.write(payload)
+        conf.matrix_export(report, args.out, with_files=[report_json])
+    else:
+        _emit(report.to_dict(), None)
     return 0
 
 

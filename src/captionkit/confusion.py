@@ -11,25 +11,24 @@ optional trailing-'s' folding on by default.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable, TextIO
 
-from .corpus import LabelRecord, PredictionSet, read_rows, write_csv
+from .corpus import LabelRecord, PredictionSet, Record, csv_table, read_rows, write_files
 from .exceptions import ConfigurationError, FormatError
 from .tokens import _check_container, _check_word, _check_words, _words
 
 
-@dataclass(frozen=True)
-class ConfusionReport:
+class ConfusionReport(Record):
     """Scene-mention matrix plus attribute co-occurrence counts."""
 
-    scenes: tuple[str, ...]
-    scene_matrix: Mapping[tuple[str, str], int]
-    attribute_table: Mapping[tuple[str, str], int]
-    per_scene_totals: Mapping[str, int]
-    diagonal_accuracy: float
-    attributes: tuple[str, ...] = ()
-    missing_ids: tuple[str, ...] = ()
+    __slots__ = ("scenes", "scene_matrix", "attribute_table", "per_scene_totals", "diagonal_accuracy", "attributes",
+                 "missing_ids")
+
+    def __init__(self, scenes: tuple[str, ...], scene_matrix: Mapping[tuple[str, str], int],
+                 attribute_table: Mapping[tuple[str, str], int], per_scene_totals: Mapping[str, int],
+                 diagonal_accuracy: float, attributes: tuple[str, ...] = (), missing_ids: tuple[str, ...] = ()) -> None:
+        self._set(scenes, scene_matrix, attribute_table, per_scene_totals, diagonal_accuracy, attributes, missing_ids)
 
     def cell(self, true_scene: str, mentioned: str) -> int:
         return self.scene_matrix.get((true_scene, mentioned), 0)
@@ -70,7 +69,9 @@ def _lookup(triggers: Mapping, fold_plural_s: bool) -> dict[str, set]:
 
 
 def default_scene_keywords(labels: Sequence[LabelRecord]) -> dict[str, frozenset[str]]:
-    """Each scene triggers on its own name; scenes in first-appearance order."""
+    """Each scene triggers on its own name; scenes in first-appearance order. ``labels`` must be a
+    sequence of ``LabelRecord`` (else ``ConfigurationError``)."""
+    _check_container(labels, Sequence, "labels: expected a sequence of label records", ConfigurationError, LabelRecord)
     return {label.scene: frozenset({label.scene}) for label in labels}
 
 
@@ -159,8 +160,10 @@ def attribute_table(
     return dict(report.attribute_table)
 
 
-def matrix_export(report: ConfusionReport, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write scene_matrix.csv and attribute_table.csv under ``out_dir``.
+def matrix_export(report: ConfusionReport, out_dir: str | Path, *,
+                  with_files: Iterable[tuple[str | Path, Callable[[TextIO], object]]] = ()) -> tuple[Path, Path]:
+    """Write scene_matrix.csv and attribute_table.csv under ``out_dir``, and the ``(path, write)`` pairs of
+    ``with_files``, as one set (``corpus.write_files``): a fault while writing any leaves every file as it was.
 
     Matrix rows are true scenes, columns mentioned-keyword scenes; the
     attribute file has attribute rows and scene columns.
@@ -170,6 +173,7 @@ def matrix_export(report: ConfusionReport, out_dir: str | Path) -> tuple[Path, P
     paths = out_dir / "scene_matrix.csv", out_dir / "attribute_table.csv"
     corners = "true_scene\\mentioned_keyword", "attribute\\true_scene"
     report_dict = report.to_dict()
-    for path, corner, table in zip(paths, corners, (report_dict["matrix"], report_dict["attributes"])):
-        write_csv(path, [corner, *report.scenes], ([name, *row.values()] for name, row in table.items()))
+    tables = [(path, csv_table([corner, *report.scenes], ([name, *row.values()] for name, row in table.items())))
+              for path, corner, table in zip(paths, corners, (report_dict["matrix"], report_dict["attributes"]))]
+    write_files([*tables, *with_files])
     return paths

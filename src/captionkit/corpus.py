@@ -15,8 +15,7 @@ import os
 import re
 import stat
 import sys
-from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from contextlib import ExitStack, contextmanager, suppress
 from enum import Enum
 from functools import partial
 from itertools import chain
@@ -31,6 +30,7 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a JSON escape of \ud800-
 _T = TypeVar("_T")
 # one encoder for every line: ``json.dumps`` with a non-default option builds a new one per call
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
+_setattr = object.__setattr__  # bound once: looking it up on ``object`` per field doubles a record's build time
 
 
 class Split(str, Enum):
@@ -56,65 +56,97 @@ class CaptionSource(str, Enum):
     AUGMENTED = "augmented"
 
 
-@dataclass(frozen=True)
-class Caption:
+class Record:
+    """Base of every immutable record: a subclass names its fields in ``__slots__``, and its ``__init__``
+    judges its arguments, then stores them with ``_set``. A record equals only a record of its type with
+    equal fields, hashes and prints as ``Type(field=value, ...)`` by its fields, refuses assignment and
+    deletion with ``AttributeError``, and is pickled and copied through ``__init__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _dict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._dict().items())})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Caption(Record):
     """One annotation string attached to an image."""
 
-    image_id: str
-    raw: str
-    source: CaptionSource = CaptionSource.HUMAN
+    __slots__ = ("image_id", "raw", "source")
 
-    def __post_init__(self) -> None:
-        if not self.image_id:
+    def __init__(self, image_id: str, raw: str, source: CaptionSource = CaptionSource.HUMAN) -> None:
+        if not image_id:
             raise ValidationError("caption with empty image_id")
-        if not isinstance(self.raw, str) or not self.raw.strip():
-            raise ValidationError(f"empty caption for image {self.image_id!r}")
+        if not isinstance(raw, str) or not raw.strip():
+            raise ValidationError(f"empty caption for image {image_id!r}")
+        self._set(image_id, raw, source)
 
 
-@dataclass(frozen=True)
-class ImageRecord:
+class ImageRecord(Record):
     """An image with its ordered caption texts, a tuple (a ``str`` is refused, not split), and optional scene."""
 
-    image_id: str
-    texts: tuple[str, ...]
-    split: Split = Split.UNASSIGNED
-    scene_class: str | None = None
+    __slots__ = ("image_id", "texts", "split", "scene_class")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.texts, tuple):
-            raise ValidationError(f"record {self.image_id!r}: texts must be a tuple, got {type(self.texts).__name__}")
-        if not self.texts:
-            raise ValidationError(f"record {self.image_id!r} has no captions")
-        if not self.image_id:
+    def __init__(self, image_id: str, texts: tuple[str, ...], split: Split = Split.UNASSIGNED,
+                 scene_class: str | None = None) -> None:
+        if not isinstance(texts, tuple):
+            raise ValidationError(f"record {image_id!r}: texts must be a tuple, got {type(texts).__name__}")
+        if not texts:
+            raise ValidationError(f"record {image_id!r} has no captions")
+        if not image_id:
             raise ValidationError("record with empty image_id")
-        for text in self.texts:
+        for text in texts:
             if not isinstance(text, str) or not text.strip():
-                raise ValidationError(f"empty caption for image {self.image_id!r}")
+                raise ValidationError(f"empty caption for image {image_id!r}")
+        self._set(image_id, texts, split, scene_class)
 
     @property
     def captions(self) -> tuple[Caption, ...]:  # built on access, for library callers
         return tuple(Caption(self.image_id, text) for text in self.texts)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Ordered, immutable tuple of image records; a repeated image id raises ``ValidationError``.
 
     Augmentation and correction never mutate a corpus; they build a new one
     with a derived provenance label.
     """
 
-    records: tuple[ImageRecord, ...]
-    provenance: str = "unlabeled"
+    __slots__ = ("records", "provenance")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.records, tuple):
-            raise ValidationError(f"corpus records must be a tuple, got {type(self.records).__name__}")
+    def __init__(self, records: tuple[ImageRecord, ...], provenance: str = "unlabeled") -> None:
+        if not isinstance(records, tuple):
+            raise ValidationError(f"corpus records must be a tuple, got {type(records).__name__}")
         seen: set[str] = set()
-        for record in self.records:
+        for record in records:
             if record.image_id in seen:
                 raise ValidationError(f"duplicate image_id {record.image_id!r}")
             seen.add(record.image_id)
+        self._set(records, provenance)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -132,39 +164,39 @@ class Corpus:
         return {record.image_id: record for record in self.records}
 
 
-@dataclass(frozen=True)
-class LabelRecord:
+class LabelRecord(Record):
     """Ground-truth scene class plus detected object names for one image."""
 
-    image_id: str
-    scene: str
-    objects: frozenset[str] = frozenset()
+    __slots__ = ("image_id", "scene", "objects")
 
-    def __post_init__(self) -> None:
-        if not self.scene:
-            raise ValidationError(f"label for {self.image_id!r} has empty scene")
+    def __init__(self, image_id: str, scene: str, objects: frozenset[str] = frozenset()) -> None:
+        if not scene:
+            raise ValidationError(f"label for {image_id!r} has empty scene")
+        self._set(image_id, scene, objects)
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """Generated caption per image id, e.g. the output of a deployed captioner."""
+class PredictionSet(Record):
+    """Generated caption per image id, e.g. the output of a deployed captioner; omitted, a new empty dict."""
 
-    entries: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Mapping[str, str] | None = None) -> None:
+        self._set({} if entries is None else entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """One advisory validation finding; never raised."""
 
-    code: str
-    message: str
-    image_id: str | None = None
+    __slots__ = ("code", "message", "image_id")
+
+    def __init__(self, code: str, message: str, image_id: str | None = None) -> None:
+        self._set(code, message, image_id)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._dict()
 
 
 def _map_split(value: object) -> Split:
@@ -299,12 +331,24 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def write_files(files: Iterable[tuple[str | Path, Callable[[TextIO], object]]]) -> None:
+    """Fill the file of each ``(path, write)`` pair by ``write(fh)`` through ``atomic_write``, as one set: every
+    file is written and flushed before any is renamed, so a fault while writing one leaves every path as it was."""
+    with ExitStack() as stack:
+        for path, write in files:
+            fh = stack.enter_context(atomic_write(path))
+            write(fh)
+            fh.flush()  # a write fault is raised here, inside this file's own ``atomic_write``, which names it
+
+
+def csv_table(header: Sequence[object], rows: Iterable[Sequence[object]]) -> Callable[[TextIO], object]:
+    """A writer, for ``write_files``, of a header row and ``rows`` as CSV with ``\\r\\n`` row endings."""
+    return lambda fh: csv.writer(fh).writerows(chain([header], rows))
+
+
 def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
-    """Write a header row and ``rows`` as CSV with ``\\r\\n`` row endings, atomically."""
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``csv_table(header, rows)`` to ``path``, atomically."""
+    write_files([(path, csv_table(header, rows))])
 
 
 def _parse(text: str, where: str, one_line: bool = False) -> object:

@@ -8,19 +8,17 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from .corpus import _measure, atomic_write, read_json
+from .corpus import Record, _measure, atomic_write, read_json
 from .exceptions import ConfigurationError, FormatError, IndexVersionError, QueryError
 from .tokens import _check_container, _check_count, _check_word, _words
 
 INDEX_VERSION = 1
 
 
-@dataclass(frozen=True)
-class InvertedIndex:
+class InvertedIndex(Record):
     """Token to sorted, duplicate-free id list; immutable once built.
 
     ``load_index`` enforces what ``build_index`` guarantees and ``query``
@@ -29,9 +27,10 @@ class InvertedIndex:
     ascending, and no more distinct ids than ``doc_count`` appear in all.
     """
 
-    postings: Mapping[str, tuple[str, ...]]
-    doc_count: int
-    version: int = INDEX_VERSION
+    __slots__ = ("postings", "doc_count", "version")
+
+    def __init__(self, postings: Mapping[str, tuple[str, ...]], doc_count: int, version: int = INDEX_VERSION) -> None:
+        self._set(postings, doc_count, version)
 
 
 def build_index(documents: Mapping[str, str]) -> InvertedIndex:
@@ -39,9 +38,11 @@ def build_index(documents: Mapping[str, str]) -> InvertedIndex:
 
     Ids are walked in ascending order and appended to each of their tokens'
     lists, so every list is sorted and duplicate-free as it is built.
-    ``documents`` must be a mapping (else ``ConfigurationError``).
+    ``documents`` must be a mapping of string id to string text (else ``ConfigurationError``).
     """
-    _check_container(documents, Mapping, "documents: expected a mapping of id to text", ConfigurationError)
+    _check_container(documents, Mapping, "documents: expected a mapping of id to text", ConfigurationError, str)
+    _check_container(documents.values(), Collection, "documents: expected a mapping of id to text",
+                     ConfigurationError, str)
     acc: defaultdict[str, list[str]] = defaultdict(list)
     for doc_id, text in sorted(documents.items()):  # ids are unique: texts are never compared
         for token in set(_words(text)):

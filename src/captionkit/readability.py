@@ -10,11 +10,10 @@ syllables; the complex-word share still counts occurrences.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .corpus import Corpus
+from .corpus import Corpus, Record
 from .exceptions import ConfigurationError, DegenerateInputError
 from .tokens import _words, split_sentences
 
@@ -63,20 +62,15 @@ class IndexScores(NamedTuple):
     fk: float
 
 
-@dataclass(frozen=True)
-class ReadabilityReport:
+class ReadabilityReport(Record):
     """The aggregate metric panel for one corpus."""
 
-    characters: int
-    words: int
-    unique_words: int
-    complex_pct: float
-    syllables_per_word: float
-    sentences: int
-    words_per_sentence: float
-    fog: float
-    flesch: float
-    fk: float
+    __slots__ = tuple(attr for attr, _, _, _ in PANEL)
+
+    def __init__(self, characters: int, words: int, unique_words: int, complex_pct: float, syllables_per_word: float,
+                 sentences: int, words_per_sentence: float, fog: float, flesch: float, fk: float) -> None:
+        self._set(characters, words, unique_words, complex_pct, syllables_per_word, sentences, words_per_sentence,
+                  fog, flesch, fk)
 
     def to_dict(self) -> dict:
         return {key: getattr(self, attr) for attr, key, _, _ in PANEL}

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 
+from .corpus import Record
 from .exceptions import ConfigurationError, ValidationError
 
 _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
@@ -44,12 +44,13 @@ _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
 _ASCII_EDGE = "".join(ch for ch in map(chr, range(128)) if not ch.isalnum() and not ch.isspace())
 
 
-@dataclass(frozen=True)
-class TokenizedSentence:
+class TokenizedSentence(Record):
     """Token sequence plus the count of letters/digits in the source text."""
 
-    tokens: tuple[str, ...]
-    char_count: int
+    __slots__ = ("tokens", "char_count")
+
+    def __init__(self, tokens: tuple[str, ...], char_count: int) -> None:
+        self._set(tokens, char_count)
 
 
 def _words(text: str) -> tuple[str, ...]:

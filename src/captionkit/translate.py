@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
+from .corpus import Record
 from .exceptions import TranslationError, ValidationError
 from .tokens import _check_container, _rewrite
 
@@ -28,26 +28,29 @@ class Translator(Protocol):
     def translate(self, text: str, src: str, dst: str) -> str: ...
 
 
-@dataclass(frozen=True)
-class TranslationChain:
+def _legs(hops: Sequence[str]) -> list[tuple[str, str]]:
+    path = ("en", *(h.lower() for h in hops), "en")
+    return list(zip(path, path[1:]))
+
+
+class TranslationChain(Record):
     """Pivot-language hops, a sequence of strings, implicitly starting and ending at English."""
 
-    hops: tuple[str, ...]
-    translator: Translator
+    __slots__ = ("hops", "translator")
 
-    def __post_init__(self) -> None:
-        _check_container(self.hops, Sequence, "translation chain: expected a sequence of hops", item=str)
-        if not self.hops:
+    def __init__(self, hops: tuple[str, ...], translator: Translator) -> None:
+        _check_container(hops, Sequence, "translation chain: expected a sequence of hops", item=str)
+        if not hops:
             raise ValidationError("translation chain needs at least one hop")
-        for a, b in self.legs():
+        for a, b in _legs(hops):
             if not b.strip():
                 raise ValidationError(f"blank hop {b!r} in chain")
             if a == b:
                 raise ValidationError(f"consecutive identical hop {a!r} in chain")
+        self._set(hops, translator)
 
     def legs(self) -> list[tuple[str, str]]:
-        path = ("en", *(h.lower() for h in self.hops), "en")
-        return list(zip(path, path[1:]))
+        return _legs(self.hops)
 
 
 # Small built-in table: phrase/word swaps plus dropped intensifiers. Enough to

@@ -9,35 +9,33 @@ tend to copy within one image's caption group.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .corpus import Corpus, write_csv
+from .corpus import Corpus, Record, write_csv
 from .exceptions import DegenerateInputError
 from .tokens import _check_count, _first, _words
 
 
-@dataclass(frozen=True)
-class VocabularyProfile:
+class VocabularyProfile(Record):
     """Token frequency table plus caption-duplication statistics."""
 
-    freq: Mapping[str, int]
-    total_tokens: int
-    unique_tokens: int
-    hapax_count: int
-    total_captions: int
-    unique_captions: int
-    duplicate_captions: int
-    within_image_duplicate_captions: int
+    __slots__ = ("freq", "total_tokens", "unique_tokens", "hapax_count", "total_captions", "unique_captions",
+                 "duplicate_captions", "within_image_duplicate_captions")
+
+    def __init__(self, freq: Mapping[str, int], total_tokens: int, unique_tokens: int, hapax_count: int,
+                 total_captions: int, unique_captions: int, duplicate_captions: int,
+                 within_image_duplicate_captions: int) -> None:
+        self._set(freq, total_tokens, unique_tokens, hapax_count, total_captions, unique_captions,
+                  duplicate_captions, within_image_duplicate_captions)
 
     def ranked(self) -> list[tuple[str, int]]:
         """Tokens by descending count, ties broken lexicographically."""
         return sorted(self.freq.items(), key=lambda item: (-item[1], item[0]))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._dict(), "freq": dict(self.freq)}
 
 
 class Coverage(NamedTuple):

@@ -28,7 +28,6 @@ import json
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -310,7 +309,8 @@ def oracle_correct(corpus, rules, prune_duplicates=False):
             text = " ".join(toks) if toks else cap.raw
             captions_out.append(Caption(record.image_id, text, cap.source))
         if captions_out:
-            records_out.append(replace(record, texts=tuple(cap.raw for cap in captions_out)))
+            records_out.append(ImageRecord(record.image_id, tuple(cap.raw for cap in captions_out), record.split,
+                                           record.scene_class))
     return Corpus(tuple(records_out), f"{corpus.provenance}-corrected")
 
 
@@ -334,7 +334,8 @@ def oracle_synonym_expand(corpus, thesaurus, replacements_per_caption=1, *, seed
             for position in sorted(picks):
                 toks[position] = rng.choice(thesaurus.entries[toks[position]])
             variants.append(Caption(record.image_id, " ".join(toks), CaptionSource.AUGMENTED))
-        records_out.append(replace(record, texts=record.texts + tuple(cap.raw for cap in variants)))
+        records_out.append(ImageRecord(record.image_id, record.texts + tuple(cap.raw for cap in variants),
+                                       record.split, record.scene_class))
     return Corpus(tuple(records_out), f"{corpus.provenance}-synonym")
 
 

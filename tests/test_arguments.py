@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from captionkit.augment import MAX_CONCURRENCY, MAX_RETRIES, Thesaurus, back_translate, synonym_expand
 from captionkit.bleu import bleu_score, modified_precision, ngram_counts, sentence_bleu
-from captionkit.confusion import attribute_table, scene_matrix
+from captionkit.confusion import attribute_table, default_scene_keywords, scene_matrix
 from captionkit.corpus import LabelRecord, PredictionSet
 from captionkit.discover import build_index, query
 from captionkit.exceptions import CaptionKitError
@@ -58,6 +58,11 @@ KEYWORDS = {"beach": frozenset({"beach"}), "sea": frozenset({"sea"})}
     lambda: TranslationChain(("es", 5), MockTranslator()),
     lambda: build_index([("a", "white beach")]),
     lambda: query(INDEX, [5]),
+    lambda: build_index({"a": 5}),
+    lambda: default_scene_keywords("beach"),
+    lambda: default_scene_keywords(["beach"]),
+    # this indexed an id that is not a string
+    lambda: build_index({5: "white beach"}),
 ], ids=[
     "sentence-bleu-string-candidate", "sentence-bleu-string-references", "ngram-counts-string",
     "query-string", "attribute-table-iterator", "synonym-seed-none", "synonym-float-count",
@@ -65,7 +70,8 @@ KEYWORDS = {"beach": frozenset({"beach"}), "sea": frozenset({"sea"})}
     "backtranslate-text-concurrency", "backtranslate-float-retries", "backtranslate-none-retries",
     "synonym-text-count", "top-k-float", "top-k-none", "ngram-counts-float-order",
     "modified-precision-float-order", "bleu-float-max-order", "chain-int-hop", "build-index-pairs",
-    "query-int-term",
+    "query-int-term", "build-index-int-text", "default-keywords-string", "default-keywords-strings",
+    "build-index-int-id",
 ])
 def test_a_misshapen_argument_raises_a_captionkit_error(call):
     with pytest.raises(CaptionKitError):

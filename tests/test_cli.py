@@ -884,27 +884,50 @@ def test_translation_stack_loads_only_with_a_translator():
     assert "requests" in after
 
 
-# Lists the captionkit modules loaded, and whether logging is, after building
-# the CLI parser and after running `stats` on the corpus named by argv[1].
+# Lists the captionkit modules loaded, and whether logging, dataclasses and
+# inspect are, after building the CLI parser and after each run of the argv
+# lists in the JSON array argv[1], with each run's exit code; the last line.
 LOADED_STAGES = """
 import json, sys
 from captionkit.cli import build_parser, run
-loaded = lambda: sorted(name for name in sys.modules if name.startswith("captionkit") or name == "logging")
+watched = ("logging", "dataclasses", "inspect")
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("captionkit") or name in watched)
 build_parser()
-before = loaded()
-code = run(["stats", "--captions", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([before, code, loaded()]))
+steps = [[0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([run(argv), loaded()])
+print(json.dumps(steps))
 """
 
 
 def test_a_run_loads_only_the_modules_of_its_subcommand(data_dir, tmp_path):
-    proc = _python(["-c", LOADED_STAGES, str(data_dir / "captions_3x5.jsonl"), str(tmp_path / "stats.json")])
+    captions, predictions = str(data_dir / "captions_3x5.jsonl"), str(data_dir / "predictions_3.jsonl")
+    labels = write_jsonl(tmp_path / "labels.jsonl", [{"image_id": "beach_2.jpg", "scene": "beach"}])
+    index = str(tmp_path / "index.json")
+    runs = [
+        ["stats", "--captions", captions, "--out", str(tmp_path / "stats.json")],
+        ["readability", "--captions", captions, "--out", str(tmp_path / "readability.json")],
+        ["bleu", "--predictions", predictions, "--references", captions, "--out", str(tmp_path / "bleu.json")],
+        ["score-confusion", "--predictions", predictions, "--labels", str(labels),
+         "--out", str(tmp_path / "confusion")],
+        ["index", "build", "--captions", captions, "--out", index],
+        ["index", "query", "--index", index, "beach"],
+        ["augment", "correct", "--captions", captions, "--dictionary", str(data_dir / "dictionary.txt"),
+         "--out", str(tmp_path / "corrected.jsonl")],
+        ["augment", "synonym", "--captions", captions, "--thesaurus", str(data_dir / "thesaurus.tsv"),
+         "--seed", "7", "--out", str(tmp_path / "synonym.jsonl")],
+        ["augment", "backtranslate", "--captions", captions, "--mock", "--out", str(tmp_path / "back.jsonl")],
+    ]
+    proc = _python(["-c", LOADED_STAGES, json.dumps(runs)])
     assert proc.returncode == 0, proc.stderr
-    before, code, after = json.loads(proc.stdout)
+    (_, before), (code, after), *later = json.loads(proc.stdout.splitlines()[-1])
     assert before == ["captionkit", "captionkit.cli", "captionkit.corpus", "captionkit.exceptions"]
     assert code == 0
     assert {"captionkit.vocabstats", "captionkit.tokens"} <= set(after)
     assert not {"captionkit.bleu", "captionkit.augment", "captionkit.translate", "logging"} & set(after)
+    assert [code for code, _ in later] == [0] * len(later)
+    for _, names in [(0, before), (code, after), *later]:
+        assert not {"dataclasses", "inspect"} & set(names)
 
 
 # Runs the CLI with a file-size limit: a write past it fails with EFBIG, as
@@ -952,6 +975,41 @@ def test_failed_write_keeps_earlier_output(tmp_path, command, out_flag):
     assert out.read_bytes() == earlier
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     assert sorted(p.name for p in out.parent.iterdir()) == ["result"]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the POSIX resource module")
+@pytest.mark.parametrize("fault", ["report-past-the-size-limit", "report-a-directory"])
+def test_a_failed_confusion_export_keeps_every_earlier_file(data_dir, tmp_path, fault):
+    labels = write_jsonl(tmp_path / "labels.jsonl", [{"image_id": "airport_1.jpg", "scene": "airport"},
+                                                     {"image_id": "beach_2.jpg", "scene": "beach"},
+                                                     {"image_id": "river_3.jpg", "scene": "river"}])
+    changed = write_jsonl(tmp_path / "changed.jsonl", [{"image_id": "airport_1.jpg", "caption": "planes near a beach"}])
+    out = tmp_path / "confusion"
+    names = ["attribute_table.csv", "report.json", "scene_matrix.csv"]
+
+    def argv(predictions):
+        return ["score-confusion", "--predictions", str(predictions), "--labels", str(labels),
+                "--attributes", str(data_dir / "attributes.txt"), "--out", str(out)]
+
+    first = _python(["-c", LIMITED_CLI, str(1 << 30), *argv(data_dir / "predictions_3.jsonl")])
+    assert first.returncode == 0, first.stderr
+    earlier = {name: (out / name).read_bytes() for name in names}
+    if fault == "report-a-directory":
+        (out / "report.json").unlink()
+        (out / "report.json").mkdir()
+        del earlier["report.json"]
+    limit = 400 if fault == "report-past-the-size-limit" else 1 << 30  # 400: each table fits, the report not
+    failed = _python(["-c", LIMITED_CLI, str(limit), *argv(changed)])
+    assert failed.returncode == 2
+    assert str(out / "report.json") in failed.stderr
+    assert sorted(p.name for p in out.iterdir()) == names  # no temp file is left
+    assert {name: (out / name).read_bytes() for name in earlier} == earlier
+
+    if fault == "report-a-directory":
+        (out / "report.json").rmdir()
+    again = _python(["-c", LIMITED_CLI, str(1 << 30), *argv(changed)])
+    assert again.returncode == 0, again.stderr
+    assert (out / "scene_matrix.csv").read_bytes() != earlier["scene_matrix.csv"]
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the POSIX resource module")
