@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, PredictionSet, Record
@@ -69,26 +69,29 @@ def _check_shapes(candidates: Sequence[TokenSeq], references: Sequence[Sequence[
             raise ConfigurationError(f"candidate {i} has no references")
 
 
-def _grams(tokens: TokenSeq, max_order: int) -> Iterator[tuple[str, ...]]:
-    """Every n-gram of orders 1..max_order in one stream; a gram's length is its order."""
-    shifted = [tokens[i:] for i in range(max_order)]
-    return chain.from_iterable(zip(*shifted[:n]) for n in range(1, max_order + 1))
-
-
 def _stats(cand: TokenSeq, refs: Sequence[TokenSeq], max_order: int) -> list[int]:
-    """One sentence's vector: matches and totals for orders 1..max_order, then c and r."""
-    # each candidate n-gram count is clipped at its maximum count in any one reference;
-    # only the grams the candidate holds can raise that maximum, so only those are kept,
-    # and a gram the candidate holds once clips at 1 in whichever reference holds it
-    counts = Counter(_grams(cand, max_order))
-    ref_grams = [list(filter(counts.__contains__, _grams(ref, max_order))) for ref in refs]
-    matches = [0] * (max_order + 1)
-    for gram in set(chain.from_iterable(ref_grams)):
-        n = counts[gram]
-        if n > 1:
-            n = min(n, max(grams.count(gram) for grams in ref_grams))
-        matches[len(gram)] += n
+    """One sentence's vector: matches and totals for orders 1..max_order, then c and r. Every token
+    must be non-empty and hold no whitespace, so that a gram matches as a space-padded substring."""
+    # each reference padded, one per line, so no gram spans two; the order-n gram at i is tested
+    # only if the order n-1 gram there matched, and a distinct gram counts once at its first
+    # occurrence, each repeat only up to its maximum count in any one reference
+    text = "\n".join(" " + " ".join(ref) + " " for ref in refs)
+    line = " " + " ".join(cand) + " "
+    bounds = list(accumulate([len(tok) + 1 for tok in cand], initial=0))
     c = len(cand)
+    matches = [0] * (max_order + 1)
+    seen: dict[str, int] = {}
+    for i in range(c):
+        start = bounds[i]
+        for n in range(1, min(max_order, c - i) + 1):
+            gram = line[start : bounds[i + n] + 1]
+            k = seen.get(gram, 0)
+            if not k and gram not in text:
+                break
+            seen[gram] = k + 1
+            if not k or k < max(list(zip(*(ref[j:] for j in range(n)))).count(tuple(cand[i : i + n]))
+                                for ref in refs):
+                matches[n] += 1
     stats: list[int] = []
     for n in range(1, max_order + 1):
         stats += [matches[n], max(0, c - n + 1)]
@@ -110,6 +113,18 @@ def _result(stats: Sequence[int]) -> BleuResult:
     return BleuResult(precisions, bp, c, r, bleu, zero_orders)
 
 
+def _vectors(candidates: Sequence[TokenSeq], references: Sequence[Sequence[TokenSeq]],
+             max_order: int) -> list[list[int]]:
+    """Each sentence's ``_stats``, every distinct token of the call first renamed to its own number,
+    so that any ``str`` token, ``""`` or ``"a b"`` too, is one non-empty name without whitespace."""
+    names: dict[str, str] = {}
+
+    def rename(tokens: TokenSeq) -> list[str]:
+        return [names.setdefault(tok, str(len(names))) for tok in tokens]
+
+    return [_stats(rename(cand), list(map(rename, refs)), max_order) for cand, refs in zip(candidates, references)]
+
+
 def modified_precision(
     candidates: Sequence[TokenSeq],
     references: Sequence[Sequence[TokenSeq]],
@@ -123,7 +138,7 @@ def modified_precision(
     """
     _check_shapes(candidates, references)
     _check_count(n, "n-gram order", 1)
-    pairs = [_stats(cand, refs, n)[2 * n - 2 : 2 * n] for cand, refs in zip(candidates, references)]
+    pairs = [stats[2 * n - 2 : 2 * n] for stats in _vectors(candidates, references, n)]
     return sum(m for m, _ in pairs), sum(t for _, t in pairs)
 
 
@@ -135,8 +150,7 @@ def bleu_score(
     """Corpus-level BLEU-1..``max_order`` over token sequences, one reference list per candidate."""
     _check_shapes(candidates, references)
     _check_count(max_order, "max_order", 1)
-    vectors = [_stats(cand, refs, max_order) for cand, refs in zip(candidates, references)]
-    return _result([sum(column) for column in zip(*vectors)])
+    return _result([sum(column) for column in zip(*_vectors(candidates, references, max_order))])
 
 
 def sentence_bleu(candidate: TokenSeq, references: Sequence[TokenSeq]) -> BleuResult:

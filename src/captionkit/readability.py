@@ -92,11 +92,19 @@ def report_from_aggregates(
     return IndexScores(fog, flesch, fk)
 
 
+def _sentences(text: str) -> int:
+    """``len(split_sentences(text))``; text whose only terminators are its last run is not split."""
+    core = text.rstrip().rstrip(".!?")
+    if "." in core or "!" in core or "?" in core:
+        return len(split_sentences(text))
+    return 1 if core.strip() else 0
+
+
 def report(corpus: Corpus) -> ReadabilityReport:
     """Compute the full readability panel over every caption in the corpus."""
     texts = list(corpus.texts())
     counts = Counter(chain.from_iterable(map(_words, texts)))
-    sentences = sum(len(split_sentences(text)) for text in texts)
+    sentences = sum(map(_sentences, texts))
     words = counts.total()
     characters = syllables = complex_words = 0
     for tok, count in counts.items():  # each letter or digit of a caption lies in one token

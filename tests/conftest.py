@@ -1,9 +1,11 @@
 import json
+import string
 import warnings
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import pytest
+from hypothesis import strategies as st
 
 from captionkit.corpus import Corpus, ImageRecord
 
@@ -19,6 +21,21 @@ with warnings.catch_warnings():
         pass
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# ASCII captions shaped like real ones, and unlike them: words with inner hyphens and apostrophes,
+# chunks of punctuation alone, edge characters around words, every ASCII whitespace character
+# between chunks, and a trailing run of edge characters and whitespace
+ASCII_SPACE = "".join(ch for ch in map(chr, range(128)) if ch.isspace())
+ASCII_EDGE = "".join(ch for ch in map(chr, range(128)) if not ch.isalnum() and not ch.isspace())
+_edges = st.text(alphabet=ASCII_EDGE, max_size=3)
+_word = st.text(alphabet=string.ascii_letters + string.digits, min_size=1, max_size=5)
+_inner = st.tuples(_word, st.lists(st.tuples(st.sampled_from("-'"), _word).map("".join), max_size=2))
+_chunk = st.tuples(_edges, _inner.map(lambda pair: pair[0] + "".join(pair[1])), _edges).map("".join)
+plain_captions = st.tuples(
+    st.lists(st.tuples(_chunk | _edges.filter(bool), st.text(alphabet=ASCII_SPACE, min_size=1, max_size=2)),
+             max_size=8).map(lambda pairs: "".join(chunk + space for chunk, space in pairs)),
+    st.text(alphabet=ASCII_EDGE + ASCII_SPACE, max_size=4),
+).map("".join)
 
 
 def corpus_from_documents(documents: Mapping[str, Iterable[str]], provenance: str) -> Corpus:

@@ -204,6 +204,27 @@ def test_score_predictions_rows_and_corpus_match_oracle():
             assert _as_oracle(overall) == ([0.0] * 4, 1.0, 0, 0, {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0})
 
 
+# any str is a token to the public entries, "" and tokens holding whitespace too
+any_tokens = st.lists(st.sampled_from(["", " ", "a b", "\n", "a", "b"]) | st.text(max_size=3), max_size=8)
+
+
+@given(pairs=st.lists(st.tuples(any_tokens.filter(bool), st.lists(any_tokens, min_size=1, max_size=4)),
+                      min_size=1, max_size=3),
+       max_order=st.integers(1, 5))
+def test_public_entries_match_oracles_on_any_string_tokens(pairs, max_order):
+    candidates, references = [cand for cand, _ in pairs], [refs for _, refs in pairs]
+    assert _as_oracle(bleu_score(candidates, references, max_order)) == oracle_bleu(candidates, references, max_order)
+    for n in range(1, max_order + 1):
+        vectors = [oracle_stats(cand, refs, n) for cand, refs in pairs]
+        expected = (sum(v[2 * n - 2] for v in vectors), sum(v[2 * n - 1] for v in vectors))
+        assert modified_precision(candidates, references, n) == expected
+
+
+def test_a_token_holding_a_space_is_not_two_tokens():
+    # joined raw, "a b" would be found in the reference "a b" and give (1.0,)
+    assert bleu_score([["a b"]], [[["a", "b"]]], max_order=1).precisions == (0.0,)
+
+
 def test_oracle_equivalence_bit_exact():
     rng = random.Random(4242)
     for _ in range(300):

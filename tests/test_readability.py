@@ -16,7 +16,7 @@ from captionkit.readability import (
     report_from_aggregates,
 )
 from captionkit.tokens import split_sentences, tokenize
-from conftest import corpus_from_documents
+from conftest import corpus_from_documents, plain_captions
 from oracles import oracle_readability
 
 # frozen outputs of the vowel-group heuristic (regression fixtures)
@@ -236,3 +236,8 @@ def test_report_matches_per_caption_loop(documents):
             report(corpus)
     else:
         assert report(corpus) == expected
+
+
+@given(plain_captions | st.sampled_from(["...", "a.b", "a. b", "a!?", "  .", "a.\x85", "a.\u3000", "\u2028"]) | st.text())
+def test_sentence_count_is_the_split_count(text):
+    assert readability._sentences(text) == len(split_sentences(text))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from captionkit.tokens import _TOKEN, _words, split_sentences, tokenize
+from conftest import plain_captions
 from oracles import oracle_tokens
 
 printable = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60)
@@ -67,6 +68,12 @@ def test_words_is_tokenize_without_char_count(text):
 def test_ascii_kernel_matches_regex_and_per_character_oracles(text):
     assert _words(text) == oracle_tokens(text) == tuple(_TOKEN.findall(text.lower()))
     assert tokenize(text).char_count == sum(1 for ch in text if ch.isalnum())
+
+
+@given(plain_captions)
+def test_plain_path_matches_per_character_oracle(text):
+    # most of these reach the split-only path, the rest the strip path
+    assert _words(text) == oracle_tokens(text)
 
 
 def test_regex_classes_match_str_predicates_on_every_code_point():
