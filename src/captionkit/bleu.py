@@ -6,6 +6,18 @@ comes from the sum of its sentences' vectors, so per-image rows and the
 corpus score are computed from the same vectors. No smoothing is applied
 anywhere: a vanished precision zeroes every score of that order and above,
 and the result records which orders vanished.
+
+Matches are counted on text, not on gram tuples. The references are joined,
+each padded with a space at both ends and one per line, so that no gram spans
+two; each candidate gram, a space-padded slice of the candidate joined the
+same way, matches if it is a substring there. At each start position the
+orders are tried in turn, and the first miss ends them, since a gram that
+holds a missed one misses too. A distinct gram counts once at its first
+occurrence, and each repeat only up to the gram's largest count in any one
+reference, counted on token tuples. This is exact only for tokens that are
+non-empty and hold no whitespace, as the tokenizer's are, so ``bleu_score``
+and ``modified_precision`` (and so ``sentence_bleu``), which take any ``str``
+token, first rename every distinct token of the call to its own number.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Corpus, PredictionSet, Record
 from .exceptions import ConfigurationError, DegenerateInputError
@@ -72,9 +84,7 @@ def _check_shapes(candidates: Sequence[TokenSeq], references: Sequence[Sequence[
 def _stats(cand: TokenSeq, refs: Sequence[TokenSeq], max_order: int) -> list[int]:
     """One sentence's vector: matches and totals for orders 1..max_order, then c and r. Every token
     must be non-empty and hold no whitespace, so that a gram matches as a space-padded substring."""
-    # each reference padded, one per line, so no gram spans two; the order-n gram at i is tested
-    # only if the order n-1 gram there matched, and a distinct gram counts once at its first
-    # occurrence, each repeat only up to its maximum count in any one reference
+    # matched as the module docstring says; bounds[k] is the space before token k in line
     text = "\n".join(" " + " ".join(ref) + " " for ref in refs)
     line = " " + " ".join(cand) + " "
     bounds = list(accumulate([len(tok) + 1 for tok in cand], initial=0))

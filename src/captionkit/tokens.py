@@ -10,14 +10,17 @@ processed by the same rules:
 - internal hyphens and apostrophes kept ("c-shaped" and "it's" are one token)
 - pure digit runs kept as tokens
 
-The grammar has two kernels, picked per text by ``str.isascii``. ASCII text,
-every caption of an RSICD-style corpus, is split with ``str.split`` and each
-chunk stripped with ``str.strip(_ASCII_EDGE)``: a chunk holds no whitespace,
-so stripping the ASCII characters that are neither letters, digits nor
-whitespace strips exactly its non-alphanumeric ends. Any other text goes
-through the regex ``_TOKEN``, whose classes ``[^\\W_]`` and ``\\s`` accept
-exactly what ``str.isalnum`` and ``str.isspace`` do on every code point, so
-no strip set has to list the non-ASCII characters.
+The grammar has three paths. ASCII text, every caption of an RSICD-style
+corpus, is lower-cased and loses its trailing run of characters that are not
+letters or digits (``_ASCII_TAIL``, whitespace included). If what is left
+holds no ``_ASCII_EDGE`` character (neither letter, digit nor whitespace), as
+in a caption whose only punctuation ends it, ``str.split`` alone gives the
+tokens: the plain path. Other ASCII text takes the strip path, ``str.split``
+and then ``str.strip(_ASCII_EDGE)`` on each chunk: a chunk holds no
+whitespace, so that strips exactly its non-alphanumeric ends. Any text that
+is not ASCII goes through the regex ``_TOKEN``, whose classes ``[^\\W_]`` and
+``\\s`` accept exactly what ``str.isalnum`` and ``str.isspace`` do on every
+code point, so no strip set has to list the non-ASCII characters.
 
 The grammar has two entry points: ``tokenize`` adds the count of letters and
 digits, and the stages, which read only tokens, call ``_words``. Each rule the
