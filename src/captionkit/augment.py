@@ -12,7 +12,7 @@ import random
 import time
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
-from itertools import chain, islice
+from itertools import chain, compress, count, islice
 from pathlib import Path
 
 from .corpus import Corpus, ImageRecord, Record, _measure, read_rows
@@ -118,12 +118,10 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
 
 
 def _deletes(word: str) -> set[str]:
-    """``word`` and every string left by deleting one or two of its characters."""
-    n = len(word)
-    out = {word}
-    out.update(word[:i] + word[i + 1 :] for i in range(n))
-    out.update(word[:i] + word[i + 1 : j] + word[j + 1 :] for i in range(n) for j in range(i + 1, n))
-    return out
+    """``word`` and every string left by deleting one or two of its characters: deleting positions
+    ``i < j`` is deleting position ``j - 1`` (at or after ``i``) from the delete of position ``i``."""
+    ones = [word[:i] + word[i + 1 :] for i in range(len(word))]
+    return {word, *ones, *[one[:j] + one[j + 1 :] for i, one in enumerate(ones) for j in range(i, len(one))]}
 
 
 def _damerau(a: str, b: str) -> int:
@@ -213,15 +211,23 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
     left-to-right pass, bigram keys before single tokens: a merge rule's bigram
     becomes its merged token, already overridden if an override names it, and
     any other token with an override or spell-fix becomes its fix. Each caption
-    is tokenized once; the frequency pass keeps its tokens space-joined. A
-    caption sharing no token with a key's first word is passed through as that
-    join, untouched by the rules.
+    is tokenized once, by the frequency pass. A caption whose tokens are all
+    inert, known words that are neither an override key nor a merge rule's
+    first word, can meet no key: it is kept and passed through as its tokens'
+    space join, untouched by the rules. Only the other captions keep their
+    tokens, to be rewritten.
     """
-    # kept space-joined: far smaller than the token tuples of an RSICD-size corpus
-    joined = [" ".join(_words(text)) for text in corpus.texts()]
-    corpus_freq = Counter(chain.from_iterable(map(str.split, joined)))
     merged_tokens = (merged for _, merged in rules.merge_patterns)
     known = frozenset().union(rules.dictionary, merged_tokens, rules.manual_overrides.values())
+    inert = known.difference(rules.manual_overrides, (pair[0] for pair, _ in rules.merge_patterns))
+    kept: list[str | tuple[str, ...]] = []  # a join: far smaller than the tokens of an RSICD-size corpus
+
+    def read(text: str) -> tuple[str, ...]:
+        toks = _words(text)
+        kept.append(" ".join(toks) if inert.issuperset(toks) else toks)
+        return toks
+
+    corpus_freq = Counter(chain.from_iterable(map(read, corpus.texts())))
     # one table: a width-1 key per override and spell-fix, a width-2 key per merge rule
     table = {(tok,): (fix,) for tok, fix in rules.manual_overrides.items()}
     # only corpus types are searched: a merged token is known, so only an override fixes it
@@ -234,19 +240,17 @@ def correct(corpus: Corpus, rules: CorrectionRules, prune_duplicates: bool = Fal
             logger.info("no correction within edit distance 2 for %r", token)
     for pair, merged in reversed(rules.merge_patterns):  # the first rule listed for a bigram wins
         table[pair] = table.get((merged,), (merged,))  # a merged token is written already fixed
-    touched = {key[0] for key in table}  # no other token meets a rule
 
     seen_norms: set[str] = set()
 
-    def corrected(text: str, norm: str) -> str | None:
-        toks = norm.split()  # the caption's tokens again: a token holds no whitespace
-        if not touched.isdisjoint(toks):
-            norm = " ".join(_rewrite(toks, toks, table, (2, 1)))
+    def corrected(text: str, norm: str | tuple[str, ...]) -> str | None:
+        if type(norm) is tuple:
+            norm = " ".join(_rewrite(norm, norm, table, (2, 1)))
         if prune_duplicates and not _first(norm, seen_norms):
             return None
         return norm or text
 
-    return _rebuild(corpus, "corrected", map(corrected, corpus.texts(), joined), append=False)
+    return _rebuild(corpus, "corrected", map(corrected, corpus.texts(), kept), append=False)
 
 
 def synonym_expand(
@@ -260,8 +264,9 @@ def synonym_expand(
 
     For each caption whose normalized form has not been seen before, up to
     ``replacements_per_caption`` thesaurus-covered token positions are picked
-    uniformly at random and each replaced by a uniformly chosen synonym.
-    Originals are always retained; captions with no covered token gain no
+    uniformly at random and each replaced by a uniformly chosen synonym; one
+    position is picked by one ``choice`` draw, the same draw as ``sample`` of
+    one. Originals are always retained; captions with no covered token gain no
     variant. ``seed`` must be an ``int``, never ``None`` and the clock, so equal
     seeds give byte-identical output.
     """
@@ -275,11 +280,11 @@ def synonym_expand(
         toks = list(_words(text))
         if not _first(" ".join(toks), seen_norms):
             return None
-        covered = [i for i, tok in enumerate(toks) if tok in entries]
+        covered = list(compress(count(), map(entries.__contains__, toks)))
         if not covered:
             return None
-        picks = rng.sample(covered, min(replacements_per_caption, len(covered)))
-        for position in sorted(picks):
+        k = min(replacements_per_caption, len(covered))
+        for position in (rng.choice(covered),) if k == 1 else sorted(rng.sample(covered, k)):
             toks[position] = rng.choice(entries[toks[position]])
         return " ".join(toks)
 

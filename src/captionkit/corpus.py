@@ -19,6 +19,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from enum import Enum
 from functools import partial
 from itertools import chain
+from json.encoder import encode_basestring as _quote  # the string escape of ``_to_json``
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
@@ -58,7 +59,8 @@ class CaptionSource(str, Enum):
 
 class Record:
     """Base of every immutable record: a subclass names its fields in ``__slots__``, and its ``__init__``
-    judges its arguments, then stores them with ``_set``. A record equals only a record of its type with
+    judges its arguments, then stores them with ``_set`` (the two record types built per image, one by one
+    with ``_setattr``). A record equals only a record of its type with
     equal fields, hashes and prints as ``Type(field=value, ...)`` by its fields, refuses assignment and
     deletion with ``AttributeError``, and is pickled and copied through ``__init__``."""
 
@@ -119,10 +121,16 @@ class ImageRecord(Record):
             raise ValidationError(f"record {image_id!r} has no captions")
         if not image_id:
             raise ValidationError("record with empty image_id")
-        for text in texts:
-            if not isinstance(text, str) or not text.strip():
-                raise ValidationError(f"empty caption for image {image_id!r}")
-        self._set(image_id, texts, split, scene_class)
+        try:
+            blank = not all(map(str.strip, texts))  # one C pass; a text that is no ``str`` raises ``TypeError``
+        except TypeError:
+            blank = True
+        if blank:
+            raise ValidationError(f"empty caption for image {image_id!r}")
+        _setattr(self, "image_id", image_id)  # stored directly: a corpus pass builds tens of thousands
+        _setattr(self, "texts", texts)
+        _setattr(self, "split", split)
+        _setattr(self, "scene_class", scene_class)
 
     @property
     def captions(self) -> tuple[Caption, ...]:  # built on access, for library callers
@@ -172,7 +180,9 @@ class LabelRecord(Record):
     def __init__(self, image_id: str, scene: str, objects: frozenset[str] = frozenset()) -> None:
         if not scene:
             raise ValidationError(f"label for {image_id!r} has empty scene")
-        self._set(image_id, scene, objects)
+        _setattr(self, "image_id", image_id)  # stored directly, as ``ImageRecord`` stores its fields
+        _setattr(self, "scene", scene)
+        _setattr(self, "objects", objects)
 
 
 class PredictionSet(Record):
@@ -466,11 +476,18 @@ def ingest_captions(
 
 
 def jsonl_lines(corpus: Corpus) -> Iterator[str]:
-    """Yield the flat captions-JSONL serialization one record line at a time."""
+    """Yield the flat captions-JSONL serialization one record line at a time: ``_to_json`` of each record's
+    object, joined here from ``_quote`` pieces unless its id, split value or scene is not exactly a ``str``."""
     for record in corpus.records:
-        obj: dict = {"image_id": record.image_id, "split": record.split.value, "captions": record.texts}
-        if record.scene_class is not None:
-            obj["scene"] = record.scene_class
+        image_id, split, scene = record.image_id, record.split.value, record.scene_class
+        if type(image_id) is str and type(split) is str and (scene is None or type(scene) is str):
+            captions = ", ".join(map(_quote, record.texts))
+            line = f'{{"image_id": {_quote(image_id)}, "split": {_quote(split)}, "captions": [{captions}]'
+            yield line + ("}\n" if scene is None else f', "scene": {_quote(scene)}}}\n')
+            continue
+        obj: dict = {"image_id": image_id, "split": split, "captions": record.texts}
+        if scene is not None:
+            obj["scene"] = scene
         yield _to_json(obj) + "\n"
 
 

@@ -21,6 +21,8 @@ messages and checked caption text before building a ``Caption``.
 ``readability.report``, over ``oracle_tokens`` and a per-character count.
 ``oracle_stats_max`` is the earlier ``bleu._stats``, which counted each
 reference's shared grams in a ``Counter`` and kept the maximum per gram.
+``oracle_jsonl_lines`` is the earlier ``corpus.jsonl_lines``, which encoded
+each record's object with ``JSONEncoder(ensure_ascii=False)``.
 """
 
 import io
@@ -374,6 +376,16 @@ def oracle_index_bytes(index):
     json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
     fh.write("\n")
     return fh.getvalue().encode("utf-8")
+
+
+def oracle_jsonl_lines(corpus):
+    """Each record's flat captions-JSONL line, its object encoded whole."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    for record in corpus.records:
+        obj = {"image_id": record.image_id, "split": record.split.value, "captions": record.texts}
+        if record.scene_class is not None:
+            obj["scene"] = record.scene_class
+        yield encode(obj) + "\n"
 
 
 def _oracle_require_str(obj, key, where):

@@ -1,5 +1,6 @@
 import random
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -315,6 +316,17 @@ def test_nearest_known_matches_bfs_oracle():
         assert got == expected
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="abc", max_size=10))  # a small alphabet, so letters repeat
+@example("")
+@example("a")
+@example("aaaaaaaaaa")
+def test_deletes_are_exactly_the_strings_left_by_deleting_at_most_two_characters(word):
+    expected = {"".join(ch for i, ch in enumerate(word) if i not in gone)
+                for r in range(3) for gone in combinations(range(len(word)), r)}
+    assert augment._deletes(word) == expected
+
+
 _EDIT = st.tuples(
     st.sampled_from(["delete", "insert", "replace", "transpose"]),
     st.integers(0, 7),
@@ -627,6 +639,14 @@ def test_back_translate_stops_after_the_first_captions_fail(monkeypatch, workers
     with pytest.raises(TranslationError, match=rf"^back-translation failed for each of the first {limit} captions"):
         back_translate(corpus, chain, concurrency=workers, max_retries=10)
     assert translator.calls == limit * 11 == 352
+
+
+def test_back_translate_fewer_captions_than_the_limit_all_failing():
+    corpus = corpus_from_documents({"i1": ["a beach", "the sea"]}, "t")
+    translator = _CountingDownTranslator()
+    with pytest.raises(TranslationError, match="^back-translation failed for every caption$"):
+        back_translate(corpus, TranslationChain(("es",), translator), max_retries=1, backoff=0.0)
+    assert translator.calls == 4
 
 
 def test_back_translate_judges_only_the_first_captions():

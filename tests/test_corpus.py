@@ -3,8 +3,11 @@ import json
 import os
 import re
 import threading
+from enum import Enum
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from captionkit.augment import load_dictionary
 from captionkit.corpus import (
@@ -18,12 +21,14 @@ from captionkit.corpus import (
     ingest_captions,
     ingest_labels,
     ingest_predictions,
+    jsonl_lines,
     validate,
     write_captions_jsonl,
 )
 from captionkit.discover import load_index
 from captionkit.exceptions import FormatError, ValidationError
 from conftest import corpus_from_documents, write_jsonl
+from oracles import oracle_jsonl_lines
 
 
 def test_jsonl_minimal(tmp_path):
@@ -203,6 +208,30 @@ def test_roundtrip_from_rsicd(tmp_path, data_dir):
     write_captions_jsonl(corpus, out)
     again = ingest_captions(out, "jsonl")
     assert again.records == corpus.records
+
+
+class _NumberedSplit(Enum):
+    ONE = 1  # a split whose value is no string: its record keeps the whole-object encoder
+
+
+# what JSON escapes, what it must not (U+2028, non-ASCII, non-BMP), and a lone surrogate half
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\xe9\U0001f30a\udcff\ud800 a'),
+                               st.characters()), min_size=1, max_size=12).filter(str.strip)
+_JSON_RECORD = st.builds(
+    ImageRecord,
+    st.one_of(_JSON_TEXT, st.integers(1, 99)),
+    st.lists(_JSON_TEXT, min_size=1, max_size=3).map(tuple),
+    st.sampled_from([*Split, _NumberedSplit.ONE]),
+    st.one_of(st.none(), _JSON_TEXT, st.integers(0, 99)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_JSON_RECORD, max_size=4, unique_by=lambda record: record.image_id))
+@example([ImageRecord(7, ('say "hi"\\\u2028\udcff',), Split.TRAIN, 3)])
+def test_jsonl_lines_match_the_whole_object_encoder(records):
+    corpus = Corpus(tuple(records), "t")
+    assert list(jsonl_lines(corpus)) == list(oracle_jsonl_lines(corpus))
 
 
 def test_ingest_deterministic(data_dir):

@@ -62,6 +62,11 @@ def test_rewrite_matches_a_run_that_ends_the_sequence():
     assert _rewrite(("z", "b", "c"), ("z", "b", "c"), table, (4, 2)) == ["z", "x"]
 
 
+def test_rewrite_keeps_words_no_key_matches():
+    assert _rewrite(("a", "b"), ("A", "B"), {}, ()) == ["A", "B"]
+    assert _rewrite((), (), {("a",): ("x",)}, (1,)) == []
+
+
 def test_correct_writes_a_merged_token_already_overridden():
     corpus = corpus_from_documents({"i1": ["a c shape building", "a c-shaped shape"]}, "t")
     rules = CorrectionRules(
