@@ -59,10 +59,10 @@ class CaptionSource(str, Enum):
 
 class Record:
     """Base of every immutable record: a subclass names its fields in ``__slots__``, and its ``__init__``
-    judges its arguments, then stores them with ``_set`` (the two record types built per image, one by one
-    with ``_setattr``). A record equals only a record of its type with
-    equal fields, hashes and prints as ``Type(field=value, ...)`` by its fields, refuses assignment and
-    deletion with ``AttributeError``, and is pickled and copied through ``__init__``."""
+    judges its arguments, then stores them with ``_set`` (``ImageRecord`` and ``LabelRecord``, built once per
+    image, with one ``_setattr`` each). A record equals only a record of its type with equal fields, hashes
+    and prints as ``Type(field=value, ...)`` by its fields, refuses assignment and deletion with
+    ``AttributeError``, and is pickled and copied through ``__init__``."""
 
     __slots__ = ()
 
