@@ -184,7 +184,7 @@ def cmd_confusion(args: argparse.Namespace) -> int:
         raise _located(args.labels, ConfigurationError(f"{exc} in {args.scenes}") if args.scenes else exc) from exc
     if report.missing_ids:
         print(f"warning: {len(report.missing_ids)} labeled images have no prediction; skipped", file=sys.stderr)
-    if args.out:  # both tables and report.json are replaced together, or none is
+    if args.out:  # all three files are written before any is renamed; the renames run one at a time
         payload = _json(report.to_dict())
         report_json = Path(args.out) / "report.json", lambda fh: fh.write(payload)
         conf.matrix_export(report, args.out, with_files=[report_json])
@@ -198,7 +198,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     if args.predictions:
         documents = ingest_predictions(args.predictions).entries
     else:
-        documents = {record.image_id: " ".join(record.texts) for record in _corpus(args).records}
+        documents = {record.image_id: "\n".join(record.texts) for record in _corpus(args).records}
     discover.save_index(discover.build_index(documents), args.out)
     return 0
 

@@ -21,7 +21,7 @@ from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring as _quote  # the string escape of ``_to_json``
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .exceptions import CaptionKitError, FormatError, ValidationError
 
@@ -29,9 +29,20 @@ CAPTION_FORMATS = ("rsicd_json", "jsonl")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a JSON escape of \ud800-\udfff
 
 _T = TypeVar("_T")
-# one encoder for every line: ``json.dumps`` with a non-default option builds a new one per call
+# one encoder for every check of a parsed value: ``json.dumps`` with a non-default option builds a new one per call
 _to_json = json.JSONEncoder(ensure_ascii=False).encode
 _setattr = object.__setattr__  # bound once: looking it up on ``object`` per field doubles a record's build time
+
+
+def _check_container(value: object, kind: type, expected: str, error: type[Exception] = ValidationError,
+                     item: type | None = None) -> None:
+    """Raise ``error`` ("``expected``, got ...") unless ``value`` is a ``kind`` and no string, read letter by
+    letter, and each of its members an ``item``."""
+    if isinstance(value, str) or not isinstance(value, kind):
+        raise error(f"{expected}, got " + (f"the string {value!r}" if isinstance(value, str) else type(value).__name__))
+    for member in value if item else ():
+        if not isinstance(member, item):
+            raise error(f"{expected}, got {member!r} in it")
 
 
 class Split(str, Enum):
@@ -109,7 +120,7 @@ class Caption(Record):
 
 
 class ImageRecord(Record):
-    """An image with its ordered caption texts, a tuple (a ``str`` is refused, not split), and optional scene."""
+    """An image: ``str`` id, caption texts (a tuple; a ``str`` is refused, not split), ``Split``, scene or None."""
 
     __slots__ = ("image_id", "texts", "split", "scene_class")
 
@@ -119,8 +130,12 @@ class ImageRecord(Record):
             raise ValidationError(f"record {image_id!r}: texts must be a tuple, got {type(texts).__name__}")
         if not texts:
             raise ValidationError(f"record {image_id!r} has no captions")
+        if not isinstance(image_id, str):
+            raise ValidationError(f"record image_id must be a string, got {image_id!r}")
         if not image_id:
             raise ValidationError("record with empty image_id")
+        if not isinstance(split, Split) or not isinstance(scene_class, (str, type(None))):
+            raise ValidationError(f"record needs a Split and a str or None scene, got {split!r}, {scene_class!r}")
         try:
             blank = not all(map(str.strip, texts))  # one C pass; a text that is no ``str`` raises ``TypeError``
         except TypeError:
@@ -138,7 +153,7 @@ class ImageRecord(Record):
 
 
 class Corpus(Record):
-    """Ordered, immutable tuple of image records; a repeated image id raises ``ValidationError``.
+    """Ordered, immutable tuple of ``ImageRecord``; another member, or a repeated image id, raises ``ValidationError``.
 
     Augmentation and correction never mutate a corpus; they build a new one
     with a derived provenance label.
@@ -151,6 +166,8 @@ class Corpus(Record):
             raise ValidationError(f"corpus records must be a tuple, got {type(records).__name__}")
         seen: set[str] = set()
         for record in records:
+            if not isinstance(record, ImageRecord):
+                raise ValidationError(f"corpus records must be ImageRecords, got {record!r}")
             if record.image_id in seen:
                 raise ValidationError(f"duplicate image_id {record.image_id!r}")
             seen.add(record.image_id)
@@ -186,12 +203,16 @@ class LabelRecord(Record):
 
 
 class PredictionSet(Record):
-    """Generated caption per image id, e.g. the output of a deployed captioner; omitted, a new empty dict."""
+    """Generated ``str`` caption per ``str`` image id (else ``ValidationError``), e.g. the output of a deployed
+    captioner; omitted, a new empty dict."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[str, str] | None = None) -> None:
-        self._set({} if entries is None else entries)
+        entries = {} if entries is None else entries
+        _check_container(entries, Mapping, "predictions: expected a mapping of id to caption", item=str)
+        _check_container(entries.values(), Collection, "predictions: expected a mapping of id to caption", item=str)
+        self._set(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -343,7 +364,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
 def write_files(files: Iterable[tuple[str | Path, Callable[[TextIO], object]]]) -> None:
     """Fill the file of each ``(path, write)`` pair by ``write(fh)`` through ``atomic_write``, as one set: every
-    file is written and flushed before any is renamed, so a fault while writing one leaves every path as it was."""
+    file is written and flushed before any is renamed, so a fault while writing one leaves every path as it was.
+    The renames then run one by one, last pair first: a failed rename leaves the later paths new, the rest old."""
     with ExitStack() as stack:
         for path, write in files:
             fh = stack.enter_context(atomic_write(path))
@@ -476,19 +498,13 @@ def ingest_captions(
 
 
 def jsonl_lines(corpus: Corpus) -> Iterator[str]:
-    """Yield the flat captions-JSONL serialization one record line at a time: ``_to_json`` of each record's
-    object, joined here from ``_quote`` pieces unless its id, split value or scene is not exactly a ``str``."""
+    """Yield the flat captions-JSONL serialization one record line at a time, joined from ``_quote`` pieces: the
+    bytes ``_to_json`` gives each record's object, whose id, split value and scene ``ImageRecord`` makes strings."""
     for record in corpus.records:
         image_id, split, scene = record.image_id, record.split.value, record.scene_class
-        if type(image_id) is str and type(split) is str and (scene is None or type(scene) is str):
-            captions = ", ".join(map(_quote, record.texts))
-            line = f'{{"image_id": {_quote(image_id)}, "split": {_quote(split)}, "captions": [{captions}]'
-            yield line + ("}\n" if scene is None else f', "scene": {_quote(scene)}}}\n')
-            continue
-        obj: dict = {"image_id": image_id, "split": split, "captions": record.texts}
-        if scene is not None:
-            obj["scene"] = scene
-        yield _to_json(obj) + "\n"
+        captions = ", ".join(map(_quote, record.texts))
+        line = f'{{"image_id": {_quote(image_id)}, "split": {_quote(split)}, "captions": [{captions}]'
+        yield line + ("}\n" if scene is None else f', "scene": {_quote(scene)}}}\n')
 
 
 def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:

@@ -37,7 +37,9 @@ def build_index(documents: Mapping[str, str]) -> InvertedIndex:
     """Index caption text per image id; identical regardless of input order.
 
     Ids are walked in ascending order and appended to each of their tokens'
-    lists, so every list is sorted and duplicate-free as it is built.
+    lists, so every list is sorted and duplicate-free as it is built. Text is
+    tokenized per ``str.splitlines`` line, whose breaks the tokenizer reads as
+    whitespace, so captions joined one per line each take its plain path.
     ``documents`` must be a mapping of string id to string text (else ``ConfigurationError``).
     """
     _check_container(documents, Mapping, "documents: expected a mapping of id to text", ConfigurationError, str)
@@ -45,7 +47,7 @@ def build_index(documents: Mapping[str, str]) -> InvertedIndex:
                      ConfigurationError, str)
     acc: defaultdict[str, list[str]] = defaultdict(list)
     for doc_id, text in sorted(documents.items()):  # ids are unique: texts are never compared
-        for token in set(_words(text)):
+        for token in set().union(*map(_words, text.splitlines())):
             acc[token].append(doc_id)
     postings = {token: tuple(acc[token]) for token in sorted(acc)}
     return InvertedIndex(postings=postings, doc_count=len(documents))

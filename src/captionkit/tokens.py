@@ -10,34 +10,31 @@ processed by the same rules:
 - internal hyphens and apostrophes kept ("c-shaped" and "it's" are one token)
 - pure digit runs kept as tokens
 
-The grammar has three paths. ASCII text, every caption of an RSICD-style
-corpus, is lower-cased and loses its trailing run of characters that are not
-letters or digits (``_ASCII_TAIL``, whitespace included). If what is left
-holds no ``_ASCII_EDGE`` character (neither letter, digit nor whitespace), as
-in a caption whose only punctuation ends it, ``str.split`` alone gives the
-tokens: the plain path. Other ASCII text takes the strip path, ``str.split``
-and then ``str.strip(_ASCII_EDGE)`` on each chunk: a chunk holds no
-whitespace, so that strips exactly its non-alphanumeric ends. Any text that
-is not ASCII goes through the regex ``_TOKEN``, whose classes ``[^\\W_]`` and
-``\\s`` accept exactly what ``str.isalnum`` and ``str.isspace`` do on every
-code point, so no strip set has to list the non-ASCII characters.
+The grammar has two paths, and each lower-cases the text first. ASCII text,
+every caption of an RSICD-style corpus, loses its trailing run of characters
+that are not letters or digits (``_ASCII_TAIL``, whitespace included). If what
+is left holds no ``_ASCII_EDGE`` character (neither letter, digit nor
+whitespace), as in a caption whose only punctuation ends it, ``str.split``
+alone gives the tokens: the plain path. All other text goes through the regex
+``_TOKEN``, whose classes ``[^\\W_]`` and ``\\s`` accept exactly what
+``str.isalnum`` and ``str.isspace`` do on every code point, so no strip set
+has to list the non-ASCII characters.
 
 The grammar has two entry points: ``tokenize`` adds the count of letters and
 digits, and the stages, which read only tokens, call ``_words``. Each rule the
 stages share is written once: a rule, keyword or index word must be a token
 (``_check_word``), a container argument has its shape and is no string
-(``_check_container``), a count argument is an ``int`` in its range
-(``_check_count``), which captions are the same (``_first``), the phrase-table
-rewrite (``_rewrite``).
+(``_check_container``, kept in :mod:`captionkit.corpus` for the model types),
+a count argument is an ``int`` in its range (``_check_count``), which captions
+are the same (``_first``), the phrase-table rewrite (``_rewrite``).
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Collection, Mapping, Sequence
-from itertools import repeat
 
-from .corpus import Record
+from .corpus import Record, _check_container
 from .exceptions import ConfigurationError, ValidationError
 
 _SENTENCE_END = re.compile(r"[.!?]+(?:\s+|$)")
@@ -60,32 +57,16 @@ class TokenizedSentence(Record):
 
 def _words(text: str) -> tuple[str, ...]:
     """The grammar itself: ``tokenize(text).tokens`` without the character count."""
-    if text.isascii():
-        text = text.lower().rstrip(_ASCII_TAIL)
-        if not _has_edge(text):
-            return tuple(text.split())
-        # through a list: tuple() of an iterator guesses a length and resizes, and the tuples
-        # it frees then pile up on CPython's per-length free lists (+1.4 MiB peak RSS in
-        # `augment synonym` over 54,605 captions)
-        return tuple(list(filter(None, map(str.strip, text.split(), repeat(_ASCII_EDGE)))))
-    return tuple(_TOKEN.findall(text.lower()))
+    text = text.lower().rstrip(_ASCII_TAIL)  # no token ends in what is stripped
+    if text.isascii() and not _has_edge(text):
+        return tuple(text.split())
+    return tuple(_TOKEN.findall(text))
 
 
 def _check_word(word: str, what: str, error: type[Exception] = ValidationError) -> None:
     """Raise ``error`` unless ``word`` is a string the grammar reads as exactly itself, one token."""
     if not isinstance(word, str) or _words(word) != (word,):
         raise error(f"{what} must be one lower-case token as the tokenizer reads it, got {word!r}")
-
-
-def _check_container(value: object, kind: type, expected: str, error: type[Exception] = ValidationError,
-                     item: type | None = None) -> None:
-    """Raise ``error`` ("``expected``, got ...") unless ``value`` is a ``kind`` and no string, read letter by
-    letter, and each of its members an ``item``."""
-    if isinstance(value, str) or not isinstance(value, kind):
-        raise error(f"{expected}, got " + (f"the string {value!r}" if isinstance(value, str) else type(value).__name__))
-    for member in value if item else ():
-        if not isinstance(member, item):
-            raise error(f"{expected}, got {member!r} in it")
 
 
 def _check_count(value: object, what: str, low: int | None = None, high: int | None = None,

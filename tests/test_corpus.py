@@ -3,7 +3,6 @@ import json
 import os
 import re
 import threading
-from enum import Enum
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +15,7 @@ from captionkit.corpus import (
     Corpus,
     ImageRecord,
     LabelRecord,
+    PredictionSet,
     Split,
     atomic_write,
     ingest_captions,
@@ -24,6 +24,7 @@ from captionkit.corpus import (
     jsonl_lines,
     validate,
     write_captions_jsonl,
+    write_files,
 )
 from captionkit.discover import load_index
 from captionkit.exceptions import FormatError, ValidationError
@@ -210,28 +211,90 @@ def test_roundtrip_from_rsicd(tmp_path, data_dir):
     assert again.records == corpus.records
 
 
-class _NumberedSplit(Enum):
-    ONE = 1  # a split whose value is no string: its record keeps the whole-object encoder
-
-
 # what JSON escapes, what it must not (U+2028, non-ASCII, non-BMP), and a lone surrogate half
 _JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\xe9\U0001f30a\udcff\ud800 a'),
                                st.characters()), min_size=1, max_size=12).filter(str.strip)
 _JSON_RECORD = st.builds(
     ImageRecord,
-    st.one_of(_JSON_TEXT, st.integers(1, 99)),
+    _JSON_TEXT,
     st.lists(_JSON_TEXT, min_size=1, max_size=3).map(tuple),
-    st.sampled_from([*Split, _NumberedSplit.ONE]),
-    st.one_of(st.none(), _JSON_TEXT, st.integers(0, 99)),
+    st.sampled_from(Split),
+    st.one_of(st.none(), _JSON_TEXT),
 )
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_JSON_RECORD, max_size=4, unique_by=lambda record: record.image_id))
-@example([ImageRecord(7, ('say "hi"\\\u2028\udcff',), Split.TRAIN, 3)])
+@example([ImageRecord("7", ('say "hi"\\\u2028\udcff',), Split.TRAIN, "3")])
 def test_jsonl_lines_match_the_whole_object_encoder(records):
     corpus = Corpus(tuple(records), "t")
     assert list(jsonl_lines(corpus)) == list(oracle_jsonl_lines(corpus))
+
+
+# what ingest keeps: ids and scenes stripped and lower-cased, texts verbatim but never blank; no
+# surrogate, which no UTF-8 file can hold
+_NO_SURROGATE = st.characters(exclude_categories=("Cs",))
+_NORMAL_NAME = (st.text(st.one_of(st.sampled_from(' "\\/\x00\x85\u2028Ab\xc9\u0130\U0001f30a'), _NO_SURROGATE),
+                        min_size=1, max_size=8)
+                .map(lambda name: name.strip().lower()).filter(lambda name: name and name.strip().lower() == name))
+_NORMAL_RECORD = st.builds(
+    ImageRecord,
+    _NORMAL_NAME,
+    st.lists(st.text(st.one_of(st.sampled_from('"\\\n\r\t\x1f\x85\u2028 a'), _NO_SURROGATE), min_size=1,
+                     max_size=12).filter(str.strip), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(Split),
+    st.one_of(st.none(), _NORMAL_NAME),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NORMAL_RECORD, max_size=4, unique_by=lambda record: record.image_id))
+def test_written_corpus_reads_back_as_its_records(tmp_path_factory, records):
+    corpus = Corpus(tuple(records), "t")
+    path = tmp_path_factory.getbasetemp() / "hypothesis-roundtrip.jsonl"
+    write_captions_jsonl(corpus, path)
+    assert ingest_captions(path, "jsonl").records == corpus.records
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ImageRecord(5, ("a",)), "image_id must be a string, got 5"),
+    (lambda: ImageRecord("a", ("a",), "train"), "needs a Split"),
+    (lambda: ImageRecord("a", ("a",), Split.TRAIN, 3), "str or None scene, got .*, 3$"),
+    (lambda: Corpus(("x",)), "must be ImageRecords, got 'x'"),
+], ids=["int-id", "str-split", "int-scene", "str-member"])
+def test_model_types_refuse_values_of_another_type(build, message):
+    # a record or corpus holding any of these would write a line that does not read back, or none
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("entries", ["ab", ["a"], {"a": 5}, {5: "a"}, {"a": None}],
+                         ids=["str", "list", "int-caption", "int-id", "none-caption"])
+def test_prediction_set_refuses_what_is_no_mapping_of_strings(entries):
+    with pytest.raises(ValidationError, match="predictions: expected a mapping of id to caption"):
+        PredictionSet(entries)
+
+
+def test_a_failed_rename_in_write_files_leaves_the_later_files_new_and_the_rest_old(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in "abc"]
+    for path in paths:
+        path.write_text("old\n", encoding="utf-8")
+    real_replace, renamed = os.replace, []
+
+    def replace(src, dst):
+        renamed.append(os.path.basename(dst))
+        if len(renamed) == 2:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError) as caught:
+        write_files([(path, lambda fh: fh.write("new\n")) for path in paths])
+    # the renames run last-listed first, and the one that failed names its own path
+    assert renamed == ["c", "b"]
+    assert caught.value.filename == str(paths[1])
+    assert [path.read_text(encoding="utf-8") for path in paths] == ["old\n", "old\n", "new\n"]
+    assert sorted(os.listdir(tmp_path)) == ["a", "b", "c"]
 
 
 def test_ingest_deterministic(data_dir):

@@ -217,7 +217,14 @@ def test_corrupt_file(tmp_path):
 # may hold no token, one token with edge punctuation, or several tokens
 IDS = st.text(alphabet="ab1Zé_", min_size=1, max_size=3)
 FRAGMENTS = WORDS + ["...", "", "C-Shaped,", "Beach!", "river bridge", "naïve", "a a"]
-TEXTS = st.one_of(st.lists(st.sampled_from(FRAGMENTS), max_size=6).map(" ".join), st.text(max_size=12))
+# every boundary of str.splitlines, which build_index tokenizes line by line
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(FRAGMENTS), max_size=6).map(" ".join),
+    st.tuples(st.sampled_from(LINE_BREAKS), st.lists(st.sampled_from(FRAGMENTS), max_size=6)).map(
+        lambda pair: pair[0].join(pair[1])),
+    st.text(max_size=12),
+)
 TERMS = st.lists(
     st.sampled_from(WORDS + ["absent", "river bridge", "Near,", "a a", "...", "naïve"]), max_size=4
 )

@@ -72,7 +72,7 @@ def test_ascii_kernel_matches_regex_and_per_character_oracles(text):
 
 @given(plain_captions)
 def test_plain_path_matches_per_character_oracle(text):
-    # most of these reach the split-only path, the rest the strip path
+    # most of these reach the split-only path, the rest the regex
     assert _words(text) == oracle_tokens(text)
 
 
