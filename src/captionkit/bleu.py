@@ -1,11 +1,11 @@
 """Corpus- and sentence-level BLEU-1..4 with multiple references.
 
 Each sentence yields one vector of sufficient statistics: clipped matches and
-totals per order, candidate length, closest reference length. A corpus score
-comes from the sum of its sentences' vectors, so per-image rows and the
-corpus score are computed from the same vectors. No smoothing is applied
-anywhere: a vanished precision zeroes every score of that order and above,
-and the result records which orders vanished.
+totals per order, candidate length, closest reference length. The corpus
+score comes from their sum, one vector added at a time, and the per-image
+rows from the same vectors. No smoothing is applied anywhere: a vanished
+precision zeroes every score of that order and above, and the result records
+which orders vanished, which are always the last ones (see ``_result``).
 
 Matches are counted on text, not on gram tuples. The references are joined,
 each padded with a space at both ends and one per line, so that no gram spans
@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import accumulate
-from typing import Mapping, Sequence
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Corpus, PredictionSet, Record
 from .exceptions import ConfigurationError, DegenerateInputError
@@ -111,28 +112,35 @@ def _stats(cand: TokenSeq, refs: Sequence[TokenSeq], max_order: int) -> list[int
 
 
 def _result(stats: Sequence[int]) -> BleuResult:
-    """BLEU from one statistics vector, a sentence's own or a corpus sum."""
+    """BLEU from one statistics vector, a sentence's own or a corpus sum. A matched gram holds a matched
+    gram one order shorter, so every precision after the first zero one is zero too, and so is BLEU-k."""
     *counts, c, r = stats
     precisions = tuple(m / t if t else 0.0 for m, t in zip(counts[0::2], counts[1::2]))
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    bleu = {
-        k: bp * math.exp(sum(map(math.log, precisions[:k])) / k) if all(precisions[:k]) else 0.0
-        for k in range(1, len(precisions) + 1)
-    }
-    zero_orders = tuple(n for n, p in enumerate(precisions, start=1) if p == 0.0)
-    return BleuResult(precisions, bp, c, r, bleu, zero_orders)
+    live = (*precisions, 0.0).index(0.0)  # the orders before the first zero precision
+    bleu = {k: bp * math.exp(sum(map(math.log, precisions[:k])) / k) if k <= live else 0.0
+            for k in range(1, len(precisions) + 1)}
+    return BleuResult(precisions, bp, c, r, bleu, tuple(range(live + 1, len(precisions) + 1)))
 
 
 def _vectors(candidates: Sequence[TokenSeq], references: Sequence[Sequence[TokenSeq]],
-             max_order: int) -> list[list[int]]:
-    """Each sentence's ``_stats``, every distinct token of the call first renamed to its own number,
-    so that any ``str`` token, ``""`` or ``"a b"`` too, is one non-empty name without whitespace."""
+             max_order: int) -> Iterator[list[int]]:
+    """Each sentence's ``_stats`` as it is made, every distinct token of the call first renamed to its own
+    number, so that any ``str`` token, ``""`` or ``"a b"`` too, is one non-empty name without whitespace."""
     names: dict[str, str] = {}
 
     def rename(tokens: TokenSeq) -> list[str]:
         return [names.setdefault(tok, str(len(names))) for tok in tokens]
 
-    return [_stats(rename(cand), list(map(rename, refs)), max_order) for cand, refs in zip(candidates, references)]
+    return (_stats(rename(cand), list(map(rename, refs)), max_order) for cand, refs in zip(candidates, references))
+
+
+def _pooled(vectors: Iterable[list[int]], max_order: int) -> list[int]:
+    """The corpus vector: the sentence vectors summed as they arrive, all zero when there are none."""
+    total = [0] * (2 * max_order + 2)
+    for stats in vectors:
+        total = list(map(add, total, stats))
+    return total
 
 
 def modified_precision(
@@ -148,8 +156,8 @@ def modified_precision(
     """
     _check_shapes(candidates, references)
     _check_count(n, "n-gram order", 1)
-    pairs = [stats[2 * n - 2 : 2 * n] for stats in _vectors(candidates, references, n)]
-    return sum(m for m, _ in pairs), sum(t for _, t in pairs)
+    matched, total = _pooled(_vectors(candidates, references, n), n)[2 * n - 2 : 2 * n]
+    return matched, total
 
 
 def bleu_score(
@@ -160,7 +168,7 @@ def bleu_score(
     """Corpus-level BLEU-1..``max_order`` over token sequences, one reference list per candidate."""
     _check_shapes(candidates, references)
     _check_count(max_order, "max_order", 1)
-    return _result([sum(column) for column in zip(*_vectors(candidates, references, max_order))])
+    return _result(_pooled(_vectors(candidates, references, max_order), max_order))
 
 
 def sentence_bleu(candidate: TokenSeq, references: Sequence[TokenSeq]) -> BleuResult:
@@ -181,18 +189,10 @@ def score_predictions(
     appear in neither the scores nor the missing ids.
     """
     by_id = corpus.by_id()
-    corpus_stats = [0] * (2 * MAX_ORDER + 2)
-    per_image: list[tuple[str, BleuResult]] = []
-    missing: list[str] = []
+    missing = [image_id for image_id in predictions.entries if image_id not in by_id]
+    vectors: dict[str, list[int]] = {}
     for image_id, caption in predictions.entries.items():
-        record = by_id.get(image_id)
-        if record is None:
-            missing.append(image_id)
-            continue
-        tokens = _words(caption)
-        if not tokens:
-            continue
-        stats = _stats(tokens, list(map(_words, record.texts)), MAX_ORDER)
-        corpus_stats = [a + b for a, b in zip(corpus_stats, stats)]
-        per_image.append((image_id, _result(stats)))
-    return _result(corpus_stats), per_image, missing
+        if image_id in by_id and (tokens := _words(caption)):
+            vectors[image_id] = _stats(tokens, list(map(_words, by_id[image_id].texts)), MAX_ORDER)
+    per_image = [(image_id, _result(stats)) for image_id, stats in vectors.items()]
+    return _result(_pooled(vectors.values(), MAX_ORDER)), per_image, missing

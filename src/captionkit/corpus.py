@@ -508,8 +508,14 @@ def jsonl_lines(corpus: Corpus) -> Iterator[str]:
 
 
 def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:
+    """Write ``jsonl_lines(corpus)`` to ``path`` atomically; a text UTF-8 cannot hold is a ``ValidationError``."""
     with atomic_write(path) as fh:
-        fh.writelines(jsonl_lines(corpus))
+        for record, line in zip(corpus.records, jsonl_lines(corpus)):
+            try:
+                fh.write(line)
+            except UnicodeEncodeError as exc:
+                fault = ValidationError(f"record {record.image_id!r}: text is not UTF-8 ({exc.reason})")
+                raise _located(path, fault) from exc
 
 
 def _label(obj: dict, image_id: str) -> LabelRecord:

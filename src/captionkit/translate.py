@@ -140,4 +140,8 @@ class HttpTranslator:
         translated = body.get("translatedText") if isinstance(body, dict) else None
         if not isinstance(translated, str):
             raise _PermanentFailure(f"translation response missing 'translatedText' ({src}->{dst})")
+        try:
+            translated.encode()
+        except UnicodeEncodeError as exc:  # a lone surrogate, such as the legal JSON escape "\udcff"
+            raise _PermanentFailure(f"translation response is not UTF-8 text ({src}->{dst}): {exc.reason}") from exc
         return translated

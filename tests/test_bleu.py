@@ -1,8 +1,9 @@
 import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from captionkit.bleu import (
@@ -218,6 +219,36 @@ def test_public_entries_match_oracles_on_any_string_tokens(pairs, max_order):
         vectors = [oracle_stats(cand, refs, n) for cand, refs in pairs]
         expected = (sum(v[2 * n - 2] for v in vectors), sum(v[2 * n - 1] for v in vectors))
         assert modified_precision(candidates, references, n) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(repeated | three_words.filter(bool), st.lists(three_words, min_size=1, max_size=4)),
+                      min_size=1, max_size=4),
+       max_order=st.integers(1, 50), order=st.integers(1, 50))
+def test_orders_up_to_50_match_the_oracles(pairs, max_order, order):
+    candidates, references = [cand for cand, _ in pairs], [refs for _, refs in pairs]
+    result = bleu_score(candidates, references, max_order)
+    expected = oracle_bleu(candidates, references, max_order)
+    assert _as_oracle(result) == expected
+    assert result.zero_precision_orders == tuple(n for n, p in enumerate(expected[0], start=1) if p == 0.0)
+    n = min(order, max_order)
+    vectors = [oracle_stats(cand, refs, n) for cand, refs in pairs]
+    assert modified_precision(candidates, references, n) == (sum(v[2 * n - 2] for v in vectors),
+                                                            sum(v[2 * n - 1] for v in vectors))
+
+
+def test_bleu_score_memory_does_not_grow_with_the_candidate_count():
+    # the sentence vectors are pooled as they are made, so ten times the candidates hold no more memory
+    def peak(count):
+        candidates, references = [["a", "b", "c"] for _ in range(count)], [[["a", "b", "c"]]] * count
+        tracemalloc.start()
+        try:
+            bleu_score(candidates, references, max_order=1000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) < 2 * peak(10)
 
 
 def test_a_token_holding_a_space_is_not_two_tokens():

@@ -256,6 +256,15 @@ def test_written_corpus_reads_back_as_its_records(tmp_path_factory, records):
     assert ingest_captions(path, "jsonl").records == corpus.records
 
 
+def test_a_record_text_that_is_not_utf8_is_a_validation_error_naming_path_and_record(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    corpus = Corpus((ImageRecord("a", ("a sea",)), ImageRecord("b", ("x\udcff",))), "t")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(out))}: record 'b': text is not UTF-8 "):
+        write_captions_jsonl(corpus, out)
+    assert out.read_text(encoding="utf-8") == "old\n"
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: ImageRecord(5, ("a",)), "image_id must be a string, got 5"),
     (lambda: ImageRecord("a", ("a",), "train"), "needs a Split"),

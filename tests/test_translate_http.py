@@ -18,7 +18,7 @@ class _Handler(BaseHTTPRequestHandler):
     requests_seen = []
     fail_next = 0
     fail_status = 503
-    raw_reply = None  # when set, answer 200 with these bytes instead
+    raw_reply = None  # when set, answer 200 with these bytes instead; a dict answers only the texts it holds
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -32,7 +32,8 @@ class _Handler(BaseHTTPRequestHandler):
         text = payload["q"]
         if payload["target"] == "en":
             text = text.upper()
-        body = type(self).raw_reply or json.dumps({"translatedText": text}).encode()
+        raw = type(self).raw_reply
+        body = (raw.get(payload["q"]) if isinstance(raw, dict) else raw) or json.dumps({"translatedText": text}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -145,6 +146,20 @@ def test_cli_backtranslate_endpoint_sends_api_key(server, tmp_path, monkeypatch)
                 "--chain", "es", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["captions"] == ["a beach", "A BEACH"]
     assert [r.get("api_key") for r in _Handler.requests_seen] == ["k-env", "k-env"]
+
+
+def test_a_reply_that_is_not_utf8_text_loses_its_caption_not_the_run(server, tmp_path, caplog):
+    # "\udcff" is a legal JSON escape that decodes to a lone surrogate, which UTF-8 cannot hold
+    _Handler.raw_reply = {"a sea": b'{"translatedText": "a \\udcff sea"}'}
+    with pytest.raises(TranslationError, match="not UTF-8 text"):
+        HttpTranslator(server).translate("a sea", "en", "es")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"image_id": "i1", "captions": ["a beach", "a sea"]}) + "\n", encoding="utf-8")
+    out = tmp_path / "bt.jsonl"
+    assert run(["augment", "backtranslate", "--captions", str(corpus), "--endpoint", server,
+                "--chain", "es", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["captions"] == ["a beach", "a sea", "A BEACH"]
+    assert "back-translation failed for 'i1': translation response is not UTF-8 text" in caplog.text
 
 
 def test_unreachable_endpoint():
