@@ -45,6 +45,11 @@ def _check_container(value: object, kind: type, expected: str, error: type[Excep
             raise error(f"{expected}, got {member!r} in it")
 
 
+def _name(value: object) -> str:
+    """The one spelling of an id, split, scene or object name: a ``str`` stripped and lower-cased, else ``""``."""
+    return value.strip().lower() if isinstance(value, str) else ""
+
+
 class Split(str, Enum):
     TRAIN = "train"
     DEV = "dev"
@@ -120,7 +125,8 @@ class Caption(Record):
 
 
 class ImageRecord(Record):
-    """An image: ``str`` id, caption texts (a tuple; a ``str`` is refused, not split), ``Split``, scene or None."""
+    """An image: ``str`` id, caption texts (a tuple; a ``str`` is refused, not split), ``Split``, scene or None.
+    The id and a scene are names as ingest reads them, stripped, lower-case and not blank."""
 
     __slots__ = ("image_id", "texts", "split", "scene_class")
 
@@ -136,6 +142,9 @@ class ImageRecord(Record):
             raise ValidationError("record with empty image_id")
         if not isinstance(split, Split) or not isinstance(scene_class, (str, type(None))):
             raise ValidationError(f"record needs a Split and a str or None scene, got {split!r}, {scene_class!r}")
+        # ingest reads an id back as its ``_name`` and a scene as its ``_name`` or None: refuse what that changes
+        if image_id != _name(image_id) or scene_class not in (None, _name(scene_class) or None):
+            raise ValidationError(f"record needs a stripped lower-case id and scene, got {image_id!r}, {scene_class!r}")
         try:
             blank = not all(map(str.strip, texts))  # one C pass; a text that is no ``str`` raises ``TypeError``
         except TypeError:
@@ -230,10 +239,8 @@ class Finding(Record):
         return self._dict()
 
 
-def _map_split(value: object) -> Split:
-    if not isinstance(value, str):
-        return Split.UNASSIGNED
-    return _SPLIT_ALIASES.get(value.strip().lower(), Split.UNASSIGNED)
+def _at(path: str | Path, lineno: int | None) -> str:
+    return f"{path}: line {lineno}" if lineno else str(path)  # where a fault is: a line of the file, or all of it
 
 
 def _check_utf8(text: str, path: str | Path, lineno: int) -> None:
@@ -243,7 +250,7 @@ def _check_utf8(text: str, path: str | Path, lineno: int) -> None:
             text.encode("utf-8", "surrogateescape").decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno += exc.object.count(b"\n", 0, exc.start)
-            raise FormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+            raise FormatError(f"{_at(path, lineno)}: not UTF-8 ({exc.reason})") from exc
 
 
 def _located(where: object, exc: CaptionKitError) -> CaptionKitError:
@@ -259,17 +266,17 @@ def _measure(path: str | Path, build: Callable[..., _T], *args) -> _T:
         raise _located(path, exc) from exc
 
 
-def _lines(path: str | Path) -> Iterator[tuple[str, str]]:
-    """Yield (``path: line N``, line) for each non-blank line of a UTF-8 text file, checked in file order."""
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (number, line) for each non-blank line of a UTF-8 text file, checked in file order."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             _check_utf8(line, path, lineno)
             if not line.isspace():  # a line read from a file is never empty
-                yield f"{path}: line {lineno}", line
+                yield lineno, line
 
 
 def read_rows(path: str | Path, shape: str, check: Callable[..., None], keyed: bool = False) -> Iterator[list]:
-    """Yield the stripped lower-cased cells of each non-blank line, read by ``shape``, judged by ``check``.
+    """Yield the ``_name`` of each cell of each non-blank line, read by ``shape``, judged by ``check``.
 
     ``shape`` names the ``<TAB>``-separated cells; a line with another count is a
     ``FormatError`` naming it and ``shape``, and a one-cell shape keeps the whole line.
@@ -280,9 +287,9 @@ def read_rows(path: str | Path, shape: str, check: Callable[..., None], keyed: b
     """
     names = shape.split("<TAB>")
     keys: set[str] = set()
-    for where, line in _lines(path):
+    for lineno, line in _lines(path):
         try:
-            cells = [cell.strip().lower() for cell in (line.split("\t") if len(names) > 1 else [line])]
+            cells = list(map(_name, line.split("\t") if len(names) > 1 else [line]))
             if len(cells) != len(names):
                 raise FormatError(f"expected '{shape}'")
             if keyed and cells[0] in keys:
@@ -292,7 +299,7 @@ def read_rows(path: str | Path, shape: str, check: Callable[..., None], keyed: b
                    for cell, name in zip(cells, names)]
             check(*row)
         except CaptionKitError as exc:
-            raise _located(where, exc) from exc
+            raise _located(_at(path, lineno), exc) from exc
         yield row
 
 
@@ -383,61 +390,55 @@ def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequenc
     write_files([(path, csv_table(header, rows))])
 
 
-def _parse(text: str, where: str, one_line: bool = False) -> object:
-    """JSON ``text``, a whole file or (``one_line``) a line, read at ``where``; every fault is a ``FormatError``."""
+def _parse(text: str, path: str | Path, lineno: int | None = None) -> object:
+    """JSON ``text``, the whole file at ``path`` or its line ``lineno``; every fault is a ``FormatError`` naming it."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        at = where if one_line else f"{where}: line {exc.lineno}"
-        raise FormatError(f"{at}, column {exc.colno}: {exc.msg}") from exc
+        raise FormatError(f"{_at(path, lineno or exc.lineno)}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer past CPython's digit limit, deep nesting
-        raise FormatError(f"{where}: {exc}") from exc
+        raise FormatError(f"{_at(path, lineno)}: {exc}") from exc
     if "\\" in text and _SURROGATE_ESCAPE.search(text):  # a pair is one character, a lone half no UTF-8 text
         try:
             _to_json(value).encode()
         except UnicodeEncodeError as exc:
-            raise FormatError(f"{where}: not UTF-8 ({exc.reason})") from exc
+            raise FormatError(f"{_at(path, lineno)}: not UTF-8 ({exc.reason})") from exc
     return value
 
 
 def read_json(path: str | Path) -> object:
     """Parse a whole JSON file, checked for bytes that are not UTF-8 before it is parsed."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     _check_utf8(text, path, 1)
-    return _parse(text, str(path))
+    return _parse(text, path)
 
 
-def _jsonl_values(path: str | Path) -> Iterator[tuple[str, object]]:
-    """Yield (location, parsed value) for each non-blank line."""
-    return ((where, _parse(line, where, one_line=True)) for where, line in _lines(path))
+def _jsonl_values(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for each non-blank line."""
+    return ((lineno, _parse(line, path, lineno)) for lineno, line in _lines(path))
 
 
-def _require_str(obj: dict, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value.strip():
-        raise ValidationError(f"missing or empty {key!r} field")
-    return value
-
-
-def _by_id(entries: Iterable, id_key: str, build: Callable[[dict, str], _T]) -> dict[str, _T]:
-    """Key each (location, JSON object) entry by its lower-cased ``id_key``, in file order.
+def _by_id(entries: Iterable[tuple[int, object]], path: str | Path, id_key: str, build: Callable[[dict, str], _T],
+           at: str = "line {}") -> dict[str, _T]:
+    """Key each (number, JSON object) entry by the ``_name`` of its ``id_key``, in file order.
 
     ``build(obj, image_id)`` makes the item. The first fault raises, and only here is
-    its location prefixed: a non-object, a missing id, what ``build`` or the model
-    types reject, or a repeated id.
+    its location, ``path: `` and ``at`` with the entry's number, prefixed: a
+    non-object, a missing id, what ``build`` or the model types reject, or a repeated id.
     """
     items: dict[str, _T] = {}
-    for where, obj in entries:
+    for number, obj in entries:
         try:
             if not isinstance(obj, dict):
                 raise FormatError("expected a JSON object")
-            image_id = _require_str(obj, id_key).strip().lower()
+            image_id = _name(obj.get(id_key))
+            if not image_id:
+                raise ValidationError(f"missing or empty {id_key!r} field")
             item = build(obj, image_id)
             if image_id in items:
                 raise ValidationError(f"duplicate image_id {image_id!r}")
         except CaptionKitError as exc:
-            raise _located(where, exc) from exc
+            raise _located(f"{path}: {at.format(number)}", exc) from exc
         items[image_id] = item
     return items
 
@@ -454,22 +455,21 @@ def _sentence_raws(sentences: list, image_id: str) -> tuple:
     return tuple(raws)
 
 
-# Per caption format: image id, caption list and scene keys, and the list's texts.
-_RECORD_FIELDS: dict[str, tuple[str, str, str, Callable[[list, str], tuple]]] = {
-    "jsonl": ("image_id", "captions", "scene", lambda items, _: tuple(items)),
-    "rsicd_json": ("filename", "sentences", "class", _sentence_raws),
+# Per caption format: caption list and scene keys, and the list's texts.
+_RECORD_FIELDS: dict[str, tuple[str, str, Callable[[list, str], tuple]]] = {
+    "jsonl": ("captions", "scene", lambda items, _: tuple(items)),
+    "rsicd_json": ("sentences", "class", _sentence_raws),
 }
 
 
 def _record(obj: dict, image_id: str, format: str) -> ImageRecord:
     """Map one entry's fields onto an ``ImageRecord``, whose types judge the values."""
-    _, list_key, scene_key, texts_of = _RECORD_FIELDS[format]
+    list_key, scene_key, texts_of = _RECORD_FIELDS[format]
     items = obj.get(list_key)
     if not isinstance(items, list):
         raise ValidationError(f"missing or empty {list_key!r} list")
-    scene = obj.get(scene_key)
-    scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
-    return ImageRecord(image_id, texts_of(items, image_id), _map_split(obj.get("split")), scene_class)
+    split = _SPLIT_ALIASES.get(_name(obj.get("split")), Split.UNASSIGNED)
+    return ImageRecord(image_id, texts_of(items, image_id), split, _name(obj.get(scene_key)) or None)
 
 
 def ingest_captions(
@@ -490,10 +490,9 @@ def ingest_captions(
         images = payload.get("images") if isinstance(payload, dict) else None
         if not isinstance(images, list):
             raise _located(path, FormatError("expected a top-level object with an 'images' list"))
-        entries = ((f"{path}: images[{i}]", entry) for i, entry in enumerate(images))
+        records = _by_id(enumerate(images), path, "filename", partial(_record, format=format), "images[{}]")
     else:
-        entries = _jsonl_values(path)
-    records = _by_id(entries, _RECORD_FIELDS[format][0], partial(_record, format=format))
+        records = _by_id(_jsonl_values(path), path, "image_id", partial(_record, format=format))
     return Corpus(tuple(records.values()), provenance if provenance is not None else Path(path).stem)
 
 
@@ -519,14 +518,20 @@ def write_captions_jsonl(corpus: Corpus, path: str | Path) -> None:
 
 
 def _label(obj: dict, image_id: str) -> LabelRecord:
-    scene = _require_str(obj, "scene").strip().lower()
+    scene = _name(obj.get("scene"))
+    if not scene:
+        raise ValidationError("missing or empty 'scene' field")
     raw_objects = obj.get("objects", [])
     if not isinstance(raw_objects, list):
         raise FormatError("'objects' must be a list")
-    objects = frozenset(
-        name.strip().lower() for name in raw_objects if isinstance(name, str) and name.strip()
-    )
-    return LabelRecord(image_id, scene, objects)
+    return LabelRecord(image_id, scene, frozenset(filter(None, map(_name, raw_objects))))
+
+
+def _caption(obj: dict, image_id: str) -> str:
+    caption = obj.get("caption")
+    if not isinstance(caption, str) or not caption.strip():
+        raise ValidationError("missing or empty 'caption' field")
+    return caption
 
 
 def ingest_labels(path: str | Path) -> tuple[LabelRecord, ...]:
@@ -534,7 +539,7 @@ def ingest_labels(path: str | Path) -> tuple[LabelRecord, ...]:
 
     The first faulty line in file order raises, naming its ``line N``.
     """
-    return tuple(_by_id(_jsonl_values(path), "image_id", _label).values())
+    return tuple(_by_id(_jsonl_values(path), path, "image_id", _label).values())
 
 
 def ingest_predictions(path: str | Path) -> PredictionSet:
@@ -542,9 +547,7 @@ def ingest_predictions(path: str | Path) -> PredictionSet:
 
     An empty file is valid. The first faulty line in file order raises, naming its ``line N``.
     """
-    return PredictionSet(
-        _by_id(_jsonl_values(path), "image_id", lambda obj, _: _require_str(obj, "caption"))
-    )
+    return PredictionSet(_by_id(_jsonl_values(path), path, "image_id", _caption))
 
 
 def validate(corpus: Corpus, strict_rsicd: bool = False) -> list[Finding]:

@@ -16,7 +16,9 @@ earlier ``discover`` paths: a ``set`` of ids per token sorted at the end, a
 ``set`` intersection over every term, and the ``json.dump`` writer.
 ``oracle_ingest`` is the earlier keyed-entry loop of the ``ingest_*``
 functions, whose builders each wrote the entry's location into their own
-messages and checked caption text before building a ``Caption``.
+messages and checked caption text before building a ``Caption``; it decodes
+and parses each JSONL line and maps each split itself, sharing only
+``read_json`` (the whole-file read of ``rsicd_json``) with the library.
 ``oracle_readability`` is the earlier per-caption loop of
 ``readability.report``, over ``oracle_tokens`` and a per-character count.
 ``oracle_stats_max`` is the earlier ``bleu._stats``, which counted each
@@ -41,8 +43,7 @@ from captionkit.corpus import (
     ImageRecord,
     LabelRecord,
     PredictionSet,
-    _jsonl_values,
-    _map_split,
+    Split,
     read_json,
 )
 from captionkit.discover import InvertedIndex
@@ -388,6 +389,41 @@ def oracle_jsonl_lines(corpus):
         yield encode(obj) + "\n"
 
 
+_ORACLE_SPLITS = {"train": Split.TRAIN, "dev": Split.DEV, "val": Split.DEV, "valid": Split.DEV,
+                  "validation": Split.DEV, "test": Split.TEST}
+
+
+def _oracle_split(value):
+    if not isinstance(value, str):
+        return Split.UNASSIGNED
+    return _ORACLE_SPLITS.get(value.strip().lower(), Split.UNASSIGNED)
+
+
+def _oracle_jsonl_values(path):
+    """(``path: line N``, value) for each line that is not blank, its end a ``\\n``, ``\\r\\n`` or lone ``\\r``
+    as in text mode; each is decoded, parsed and checked for text UTF-8 cannot hold before the next, so the
+    first fault in file order raises."""
+    for n, raw in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        where = f"{path}: line {n}"
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{where}: not UTF-8 ({exc.reason})") from exc
+        if not text.strip():
+            continue
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}, column {exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"{where}: not UTF-8 ({exc.reason})") from exc
+        yield where, value
+
+
 def _oracle_require_str(obj, key, where):
     value = obj.get(key)
     if not isinstance(value, str) or not value.strip():
@@ -434,7 +470,7 @@ def _oracle_record(obj, image_id, where, format):
     scene = obj.get(scene_key)
     scene_class = scene.strip().lower() if isinstance(scene, str) and scene.strip() else None
     texts = tuple(cap.raw for cap in captions)
-    return ImageRecord(image_id, texts, _map_split(obj.get("split")), scene_class)
+    return ImageRecord(image_id, texts, _oracle_split(obj.get("split")), scene_class)
 
 
 def _oracle_label(obj, image_id, where):
@@ -459,7 +495,7 @@ def oracle_ingest(path, kind):
             raise FormatError(f"{path}: expected a top-level object with an 'images' list")
         entries = ((f"{path}: images[{i}]", entry) for i, entry in enumerate(images))
     else:
-        entries = _jsonl_values(path)
+        entries = _oracle_jsonl_values(path)
     if kind == "labels":
         return tuple(_oracle_by_id(entries, "image_id", _oracle_label).values())
     if kind == "predictions":

@@ -1,7 +1,9 @@
 """CLI subcommands against the oracles on random input files, run through ``cli.run``.
 
 So far ``bleu``: its report, its per-image CSV and its skip warning, which hold handler logic (the
-skip count, the row layout) that the library-level BLEU tests never reach.
+skip count, the row layout) that the library-level BLEU tests never reach; and ``ingest`` and
+``validate --strict`` on captions files of both formats, whose written corpus must read back as the
+records ``oracle_ingest`` reads.
 """
 
 import contextlib
@@ -15,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from captionkit.cli import run
+from captionkit.corpus import ingest_captions
 from conftest import write_jsonl
-from oracles import oracle_bleu, oracle_tokens
+from oracles import oracle_bleu, oracle_ingest, oracle_jsonl_lines, oracle_tokens
 
 # "beach," and "sea-side" put inner punctuation in a caption, so the tokenizer's regex path is reached too
 _WORDS = ["a", "sea", "Beach", "beach,", "green", "trees", "sea-side", "many"]
@@ -70,3 +73,46 @@ def test_bleu_report_rows_and_skip_count_match_the_oracle(references, prediction
         missing = sum(image_id not in references for image_id in predictions)
         reason = f"{missing} ids missing from references, the rest without tokens"
         assert err.getvalue() == (f"warning: {skipped} predictions skipped: {reason}\n" if skipped else "")
+
+
+# one record per id number: its id in some case and padding, a split by any alias or none, a scene or none
+_ENTRIES = st.lists(
+    st.tuples(st.integers(0, 9), st.sampled_from(["img{}", "IMG{}", " Img{} ", "img{}.JPG"]),
+              st.sampled_from(["train", " Val ", "VALIDATION", "dev", "Test", "other", None, 3]),
+              st.sampled_from(["beach", " Port ", "AIRPORT", "", None]), st.lists(_CAPTIONS, min_size=1, max_size=7)),
+    max_size=5, unique_by=lambda entry: entry[0],
+)
+
+
+def _write_captions(path, fmt, entries):
+    keys = ("image_id", "captions", "scene") if fmt == "jsonl" else ("filename", "sentences", "class")
+    rows = []
+    for number, id_form, split, scene, captions in entries:
+        row = {keys[0]: id_form.format(number), "split": split, keys[1]: captions, keys[2]: scene}
+        if fmt == "rsicd_json":
+            row["sentences"] = [{"raw": text} for text in captions]
+        rows.append({key: value for key, value in row.items() if value is not None})
+    if fmt == "jsonl":
+        return write_jsonl(path, rows)
+    path.write_text(json.dumps({"images": rows}, indent=1), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(fmt=st.sampled_from(["jsonl", "rsicd_json"]), entries=_ENTRIES)
+@example(fmt="rsicd_json", entries=[(1, "IMG{}", " Val ", " Port ", ["a sea."] * 5), (2, " Img{} ", 3, "", ["..."])])
+def test_ingest_and_strict_validate_match_the_oracle(fmt, entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        captions = _write_captions(work / f"captions.{fmt}", fmt, entries)
+        corpus = oracle_ingest(captions, fmt)
+        assert run(["ingest", "--captions", str(captions), "--format", fmt, "--out", str(work / "out.jsonl")]) == 0
+        assert (work / "out.jsonl").read_text(encoding="utf-8") == "".join(oracle_jsonl_lines(corpus))
+        assert ingest_captions(work / "out.jsonl", "jsonl").records == corpus.records
+
+        code = run(["validate", "--captions", str(captions), "--format", fmt, "--strict",
+                    "--out", str(work / "report.json")])
+        report = json.loads((work / "report.json").read_text(encoding="utf-8"))
+        short = [record.image_id for record in corpus.records if len(record.texts) != 5]
+        assert (code, report["strict"], report["finding_count"]) == (1 if short else 0, True, len(short))
+        assert [finding["image_id"] for finding in report["findings"]] == short

@@ -17,6 +17,7 @@ from captionkit.corpus import (
     LabelRecord,
     PredictionSet,
     Split,
+    _name,
     atomic_write,
     ingest_captions,
     ingest_labels,
@@ -216,10 +217,10 @@ _JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\xe9
                                st.characters()), min_size=1, max_size=12).filter(str.strip)
 _JSON_RECORD = st.builds(
     ImageRecord,
-    _JSON_TEXT,
+    _JSON_TEXT.map(_name),  # a record's id and scene are names as ingest reads them
     st.lists(_JSON_TEXT, min_size=1, max_size=3).map(tuple),
     st.sampled_from(Split),
-    st.one_of(st.none(), _JSON_TEXT),
+    st.one_of(st.none(), _JSON_TEXT.map(_name)),
 )
 
 
@@ -275,6 +276,28 @@ def test_model_types_refuse_values_of_another_type(build, message):
     # a record or corpus holding any of these would write a line that does not read back, or none
     with pytest.raises(ValidationError, match=message):
         build()
+
+
+@pytest.mark.parametrize("image_id, scene", [("A", None), ("  ", None), (" a", None), ("a", " "), ("a", ""),
+                                             ("a", "Beach"), ("a", "beach\n")],
+                         ids=["upper-id", "blank-id", "padded-id", "blank-scene", "empty-scene", "upper-scene",
+                              "padded-scene"])
+def test_a_record_refuses_an_id_or_scene_that_would_not_read_back_as_itself(tmp_path, image_id, scene):
+    # ingest reads an id back as its ``_name`` and a scene as its ``_name`` or None, so neither may differ
+    message = f"stripped lower-case id and scene, got {image_id!r}, {scene!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ImageRecord(image_id, ("a beach",), Split.TRAIN, scene)
+    if _name(image_id):  # what ingest builds from the same values is a record the type accepts
+        path = write_jsonl(tmp_path / "one.jsonl", [{"image_id": image_id, "captions": ["a beach"], "scene": scene}])
+        record = ingest_captions(path, "jsonl").records[0]
+        assert (record.image_id, record.scene_class) == (_name(image_id), _name(scene) or None)
+
+
+# Σ lower-cases by its context, İ to two code points, U+0085 is whitespace
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(" \t\x85\u2028A\u03a3\u0130\u1e9e"), st.characters()), max_size=8))
+def test_a_name_is_its_own_name_so_ingest_builds_only_records_the_type_accepts(value):
+    assert _name(_name(value)) == _name(value)
 
 
 @pytest.mark.parametrize("entries", ["ab", ["a"], {"a": 5}, {5: "a"}, {"a": None}],
