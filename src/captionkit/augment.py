@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 MergePattern = tuple[tuple[str, str], str]
 MAX_CONCURRENCY = 64  # back_translate's worker threads at most
 MAX_RETRIES = 10  # each retry doubles the backoff, so 10 retries sleep at most 1023 backoffs per request
-FAILED_RUN_LIMIT = 32  # back_translate stops when its first this many captions (or all, if fewer) fail
+FAILED_RUN_LIMIT = 32  # back_translate stops when this many captions in a row fail, wherever they fall
 
 
 class CorrectionRules(Record):
@@ -302,12 +302,15 @@ def back_translate(
     """Round-trip every caption through the pivot chain and append changed results.
 
     Only transient translation failures are retried, with exponential backoff.
-    A caption whose round-trip fails is logged and kept without a variant. The
-    first ``min(FAILED_RUN_LIMIT, n)`` of the ``n`` captions (32 at most) run
-    before the rest is queued; if every one of them fails, the run raises
-    ``TranslationError`` without sending the rest, so a service that is down
-    costs only their retry budget. Requests run on a pool of ``concurrency``
-    worker threads, never more than there are captions (an ``int`` from 1 to
+    A caption whose round-trip fails is logged and kept without a variant.
+    Results are judged in input order, whatever the thread schedule: when
+    ``FAILED_RUN_LIMIT`` (32) captions in a row have failed, wherever that run
+    falls, or every caption of a shorter corpus, the run raises
+    ``TranslationError``. A caption is sent only while it lies within
+    ``max(FAILED_RUN_LIMIT, concurrency)`` captions of the last one judged to
+    have round-tripped, so a service that goes down costs at most that many
+    captions' retry budget. Requests run on a pool of ``concurrency`` worker
+    threads, never more than there are captions (an ``int`` from 1 to
     ``MAX_CONCURRENCY``, ``max_retries`` one from 0 to ``MAX_RETRIES`` and
     ``backoff`` finite and >= 0, else ``ConfigurationError`` before any
     request); output order always follows input order.
@@ -316,8 +319,7 @@ def back_translate(
     _check_count(concurrency, "concurrency", 1, MAX_CONCURRENCY)
     if isinstance(backoff, bool) or not isinstance(backoff, (int, float)) or not 0 <= backoff < float("inf"):
         raise ConfigurationError(f"backoff must be a finite, non-negative number of seconds, got {backoff!r}")
-    image_ids = [record.image_id for record in corpus.records for _ in record.texts]
-    texts = list(corpus.texts())
+    jobs = [(record.image_id, text) for record in corpus.records for text in record.texts]
 
     def roundtrip(image_id: str, text: str) -> str | None:
         for src, dst in chain.legs():
@@ -333,16 +335,19 @@ def back_translate(
                         time.sleep(backoff * (2**attempt))
         return text
 
-    head = min(FAILED_RUN_LIMIT, len(texts))  # judged in input order, whatever the thread schedule
+    window = max(FAILED_RUN_LIMIT, concurrency)  # wide enough to keep every accepted concurrency's threads busy
+    futures, results, ok = [], [], 0  # ok: the captions judged up to and including the last that round-tripped
     from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that back-translates
-    with ThreadPoolExecutor(max_workers=max(1, min(concurrency, len(texts)))) as pool:
-        results = list(pool.map(roundtrip, image_ids[:head], texts[:head]))
-        if head and all(result is None for result in results):
-            if head == len(texts):
-                raise TranslationError("back-translation failed for every caption")
-            raise TranslationError(f"back-translation failed for each of the first {head} captions; run stopped")
-        results += pool.map(roundtrip, image_ids[head:], texts[head:])
+    with ThreadPoolExecutor(max_workers=max(1, min(concurrency, len(jobs)))) as pool:
+        for i in range(len(jobs)):  # judged in input order, whatever the thread schedule
+            futures += [pool.submit(roundtrip, *job) for job in jobs[len(futures) : ok + window]]
+            results.append(futures[i].result())
+            if results[i] is not None:
+                ok = i + 1
+            elif i + 1 - ok in (FAILED_RUN_LIMIT, len(jobs)):
+                span = "every caption" if i + 1 - ok == len(jobs) else f"each of captions {ok + 1}-{i + 1}; run stopped"
+                raise TranslationError(f"back-translation failed for {span}")
 
     variants = (result if result and result.strip() and result != text else None
-                for text, result in zip(texts, results))
+                for (_, text), result in zip(jobs, results))
     return _rebuild(corpus, "backtranslated", variants, append=True)

@@ -18,7 +18,7 @@ from captionkit.augment import (
     load_thesaurus,
     synonym_expand,
 )
-from captionkit.corpus import jsonl_lines, validate
+from captionkit.corpus import Corpus, jsonl_lines, validate
 from captionkit.exceptions import ConfigurationError, TranslationError, ValidationError
 from captionkit.tokens import _words, tokenize
 from captionkit.translate import MockTranslator, TranslationChain
@@ -636,7 +636,7 @@ def test_back_translate_stops_after_the_first_captions_fail(monkeypatch, workers
     translator = _CountingDownTranslator()
     chain = TranslationChain(("es", "de", "fr"), translator)
     limit = augment.FAILED_RUN_LIMIT
-    with pytest.raises(TranslationError, match=rf"^back-translation failed for each of the first {limit} captions"):
+    with pytest.raises(TranslationError, match=rf"^back-translation failed for each of captions 1-{limit}; run stopped"):
         back_translate(corpus, chain, concurrency=workers, max_retries=10)
     assert translator.calls == limit * 11 == 352
 
@@ -660,6 +660,61 @@ def test_back_translate_judges_only_the_first_captions():
     result = back_translate(corpus, TranslationChain(("es",), flaky), max_retries=0)
     assert result.caption_count() == limit + 3  # identity translator: no variants
     assert flaky.calls == (limit - 1) + 2 * 4  # the last four captions each take both legs
+
+
+class _FailingCaptionsTranslator:
+    """Fails every request for the captions ``a beach number {n}`` whose ``n`` is in ``failing``, as a
+    transient fault, and is identity otherwise; records each request's caption number, thread-safe."""
+
+    def __init__(self, failing):
+        self.failing = frozenset(failing)
+        self.requested = []
+        self._lock = threading.Lock()
+
+    def translate(self, text, src, dst):
+        number = int(text.rsplit(maxsplit=1)[1])
+        with self._lock:
+            self.requested.append(number)
+        if number in self.failing:
+            raise TranslationError("service unavailable")
+        return text
+
+
+def _numbered_captions(n):
+    return corpus_from_documents({f"i{number}": [f"a beach number {number}"] for number in range(n)}, "t")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("captions, down", [(120, 40), (40, 8)])
+def test_back_translate_stops_when_the_service_goes_down_mid_run(workers, captions, down):
+    # every request fails from caption down + 1 on; at 40 captions the 32 failures end with the input
+    limit = augment.FAILED_RUN_LIMIT
+    translator = _FailingCaptionsTranslator(range(down, captions))
+    stopped = rf"^back-translation failed for each of captions {down + 1}-{down + limit}; run stopped$"
+    with pytest.raises(TranslationError, match=stopped):
+        back_translate(_numbered_captions(captions), TranslationChain(("es",), translator), concurrency=workers,
+                       max_retries=2, backoff=0.0)
+    assert set(translator.requested) == set(range(down + limit))  # nothing past the failed run is sent
+    assert len(translator.requested) == down * 2 + limit * 3  # both legs each, or three failed attempts
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_back_translate_goes_on_after_a_run_of_failures_shorter_than_the_limit(workers):
+    # 31 failures, one success, 31 failures, one success: 62 failed captions, never 32 in a row
+    limit = augment.FAILED_RUN_LIMIT
+    failing = [*range(limit - 1), *range(limit, 2 * limit - 1)]
+    translator = _FailingCaptionsTranslator(failing)
+    corpus = _numbered_captions(2 * limit)
+    result = back_translate(corpus, TranslationChain(("es",), translator), concurrency=workers, max_retries=0)
+    assert result.records == corpus.records  # identity translator: no variants
+    assert set(translator.requested) == set(range(2 * limit))
+
+
+def test_back_translate_of_an_empty_corpus_sends_nothing():
+    translator = _FailingCaptionsTranslator(())
+    result = back_translate(Corpus(()), TranslationChain(("es",), translator))
+    assert result.records == ()
+    assert translator.requested == []
 
 
 def test_back_translate_rejects_negative_retries():

@@ -3,7 +3,9 @@
 So far ``bleu``: its report, its per-image CSV and its skip warning, which hold handler logic (the
 skip count, the row layout) that the library-level BLEU tests never reach; and ``ingest`` and
 ``validate --strict`` on captions files of both formats, whose written corpus must read back as the
-records ``oracle_ingest`` reads.
+records ``oracle_ingest`` reads; and ``index build`` from either captions format or from predictions,
+whose index file must hold the oracle index's bytes, and ``index query`` on it, which must print the
+oracle query's ids one per line.
 """
 
 import contextlib
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from captionkit.cli import run
 from captionkit.corpus import ingest_captions
 from conftest import write_jsonl
-from oracles import oracle_bleu, oracle_ingest, oracle_jsonl_lines, oracle_tokens
+from oracles import (oracle_bleu, oracle_build_index, oracle_index_bytes, oracle_ingest, oracle_jsonl_lines,
+                     oracle_query, oracle_tokens)
 
 # "beach," and "sea-side" put inner punctuation in a caption, so the tokenizer's regex path is reached too
 _WORDS = ["a", "sea", "Beach", "beach,", "green", "trees", "sea-side", "many"]
@@ -116,3 +119,40 @@ def test_ingest_and_strict_validate_match_the_oracle(fmt, entries):
         short = [record.image_id for record in corpus.records if len(record.texts) != 5]
         assert (code, report["strict"], report["finding_count"]) == (1 if short else 0, True, len(short))
         assert [finding["image_id"] for finding in report["findings"]] == short
+
+
+# "..." and "!?" tokenize to nothing, and "zebra" is in no caption
+_TERMS = st.lists(st.sampled_from([*_WORDS, "SEA", "trees.", "zebra", "...", "!?"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(["jsonl", "rsicd_json", "predictions"]), entries=_ENTRIES, predictions=_PREDICTIONS,
+       terms=_TERMS)
+# a record's captions are separate words: "a sea" then "beach" is never the token "seabeach"
+@example(source="jsonl", entries=[(1, "img{}", "train", None, ["a sea", "beach trees."])], predictions={"i0": "a"},
+         terms=["sea", "beach"])
+@example(source="predictions", entries=[], predictions={"i0": "a sea", "i4": "Beach, a sea."}, terms=["...", "!?"])
+def test_index_build_and_query_match_the_oracle(source, entries, predictions, terms):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        if source == "predictions":
+            path = write_jsonl(work / "preds.jsonl", [{"image_id": i, "caption": c} for i, c in predictions.items()])
+            documents = oracle_ingest(path, "predictions").entries
+            given_source = ["--predictions", str(path)]
+        else:
+            path = _write_captions(work / f"captions.{source}", source, entries)
+            documents = {record.image_id: "\n".join(record.texts) for record in oracle_ingest(path, source).records}
+            given_source = ["--captions", str(path), "--format", source]
+        index = oracle_build_index(documents)
+        assert run(["index", "build", *given_source, "--out", str(work / "index.json")]) == 0
+        assert (work / "index.json").read_bytes() == oracle_index_bytes(index)
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["index", "query", "--index", str(work / "index.json"), *terms])
+        if not oracle_tokens(" ".join(terms)):
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue() == "error: query is empty after tokenization\n"
+            return
+        assert code == 0
+        assert out.getvalue() == "".join(f"{image_id}\n" for image_id in oracle_query(index, terms))

@@ -9,7 +9,7 @@ from captionkit.augment import back_translate
 from captionkit.cli import API_KEY_ENV, run
 from captionkit.exceptions import TranslationError
 from captionkit.translate import HttpTranslator, TranslationChain
-from conftest import corpus_from_documents
+from conftest import corpus_from_documents, write_jsonl
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -146,6 +146,20 @@ def test_cli_backtranslate_endpoint_sends_api_key(server, tmp_path, monkeypatch)
                 "--chain", "es", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["captions"] == ["a beach", "A BEACH"]
     assert [r.get("api_key") for r in _Handler.requests_seen] == ["k-env", "k-env"]
+
+
+def test_cli_backtranslate_stops_after_32_captions_fail_in_a_row(server, tmp_path, capsys):
+    # a permanent failure is not retried: each of the first 32 captions costs one request, the rest none
+    _Handler.fail_next = 1000
+    _Handler.fail_status = 400
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [{"image_id": f"i{n}", "captions": [f"a beach {n}"]}
+                                                     for n in range(40)])
+    out = tmp_path / "bt.jsonl"
+    assert run(["augment", "backtranslate", "--captions", str(corpus), "--endpoint", server,
+                "--chain", "es", "--workers", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: back-translation failed for each of captions 1-32; run stopped\n"
+    assert not out.exists()
+    assert len(_Handler.requests_seen) == 32
 
 
 def test_a_reply_that_is_not_utf8_text_loses_its_caption_not_the_run(server, tmp_path, caplog):
